@@ -7,8 +7,8 @@ standard error, and their sigma distance.
 import argparse
 import sys
 
-from airylab.fredholm import (KernelParams, airy_product_estimate, fredholm_det,
-                              kernel_grid, sample_sao2_spectra, truncation_threshold)
+from airylab.fredholm import (KernelParams, determinant_vs_point_process,
+                              truncation_threshold)
 from airylab.sao import SaoConfig
 
 
@@ -25,15 +25,11 @@ def main() -> int:
 
     cap = max(truncation_threshold(KernelParams(s=s, t=args.t), args.factor_tol)
               for s in args.s)
-    config = SaoConfig(beta=2.0, domain_l=args.domain_l, grid_n=args.grid_n,
-                       lambda_cap=cap, seed=args.seed)
-    spectra = sample_sao2_spectra(config, args.samples, args.seed)
+    config = SaoConfig(beta=2.0, domain_l=args.domain_l, grid_n=args.grid_n, lambda_cap=cap)
+    cases = [(s, args.t, args.factor_tol) for s in args.s]
+    rows = determinant_vs_point_process(cases, config, args.samples, args.seed)
     print("s,t,det,mc_mean,mc_stderr,sigma_distance")
-    for s in args.s:
-        params = KernelParams(s=s, t=args.t)
-        det = fredholm_det(params, kernel_grid(params, n_nodes=96))
-        est = airy_product_estimate(spectra, params, args.factor_tol, args.seed)
-        sigma = abs(det - est.mean) / est.stderr
+    for s, (det, est, sigma) in zip(args.s, rows):
         print(f"{s:.17g},{args.t:.17g},{det:.17g},{est.mean:.17g},"
               f"{est.stderr:.17g},{sigma:.17g}")
     return 0

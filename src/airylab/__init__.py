@@ -4,17 +4,16 @@ and Hill spectra with Riccati explosion counting, Fredholm determinants,
 localization sandwich and WKB spectral inequality.
 """
 
-from .airy import AiryEval, airy_ai, airy_ai_batch, ai_values, first_airy_zero
+from .airy import AiryEval, airy_ai, ai_values, first_airy_zero
 from .errors import (ConfigurationError, DomainError, IncompleteSpectrumError,
                      ResolutionError, UnderflowDiagnostic)
-from .fredholm import (KernelParams, QuadratureGrid, fredholm_det, kernel_eval,
-                       kernel_grid, laplace_transform_mc, proxy_f, proxy_psi)
-from .hill import (Boundary, HillConfig, NoisePath, SpectrumSample, counting_integral,
-                   hill_spectrum, linear_statistic, riccati_count_hill)
+from .fredholm import (KernelParams, QuadratureGrid, determinant_vs_point_process,
+                       fredholm_det, kernel_eval, kernel_grid, proxy_f, proxy_psi)
+from .hill import (Boundary, CellOperator, HillConfig, NoisePath, SpectrumSample,
+                   counting_integral, hill_spectrum, linear_statistic, riccati_count_hill)
 from .mc import McEstimate, spawn_rng
 from .rate import phi_minus, phi_minus_scaled
-from .sao import (DriftedPathSpec, SaoConfig, ldp_estimate, riccati_count_sao,
-                  sample_drifted_path, sandwich_check, sao_spectrum)
+from .sao import SaoConfig, ldp_estimate, riccati_count_sao, sandwich_check, sao_spectrum
 from .variational import (DiscretizationParams, DriftProblem, drift_objective,
                           linear_statistic_drifted, optimal_drift, riemann_sum_value,
                           variational_value, weyl_count)

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fredholm import (KernelParams, airy_product_estimate, fredholm_det, kernel_grid,
-                       proxy_f, proxy_psi, sample_sao2_spectra, truncation_threshold)
+from .fredholm import determinant_vs_point_process, proxy_f, proxy_psi
 from .hill import (HillConfig, NoisePath, SpectrumSample, counting_integral,
                    hill_spectrum, linear_statistic, riccati_count_hill)
 from .mc import spawn_rng
 from .rate import phi_minus, phi_minus_scaled
 from .sao import SaoConfig, ldp_estimate, riccati_count_sao, sandwich_check, sao_spectrum
 from .variational import DiscretizationParams, variational_value
-from .wkb import random_profile, wkb_compare
+from .wkb import wkb_trials
 
 DEFAULT_SEED = 20260808
 
@@ -95,16 +94,11 @@ def criterion_3_fredholm_identity(seed: int = DEFAULT_SEED, fast: bool = False) 
     t0 = time.perf_counter()
     n_samples = 400 if fast else 2000
     cases = [(1.0, 1.0, 1e-15), (0.5, 1.0, 1e-15), (2.0, 0.5, 1e-12)]
-    config = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 14, lambda_cap=36.0, seed=seed)
-    spectra = sample_sao2_spectra(config, n_samples, seed)
+    config = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 14, lambda_cap=36.0)
+    rows = determinant_vs_point_process(cases, config, n_samples, seed)
     measured = {}
     passed = True
-    for s, t, factor_tol in cases:
-        params = KernelParams(s=s, t=t)
-        assert truncation_threshold(params, factor_tol) <= config.lambda_cap
-        det = fredholm_det(params, kernel_grid(params, n_nodes=96))
-        est = airy_product_estimate(spectra, params, factor_tol, seed)
-        sigma = abs(det - est.mean) / est.stderr
+    for (s, t, _), (det, est, sigma) in zip(cases, rows):
         measured[f"s={s},t={t}"] = {"det": det, "mc": est.mean, "stderr": est.stderr,
                                     "sigma_distance": sigma}
         passed &= sigma <= 3.0
@@ -118,7 +112,7 @@ def criterion_4_riccati_matrix(seed: int = DEFAULT_SEED, fast: bool = False) -> 
     t0 = time.perf_counter()
     draws = 40 if fast else 200
     rng = spawn_rng(seed, "acceptance-riccati")
-    sao_cfg = SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0, seed=seed)
+    sao_cfg = SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0)
     sao_agree = 0
     for _ in range(draws):
         path = NoisePath.sample(rng, sao_cfg.grid_n, sao_cfg.h)
@@ -149,15 +143,7 @@ def criterion_5_wkb(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionRe
     """No violations of the constant-drift spectral inequality."""
     t0 = time.perf_counter()
     trials = 40 if fast else 200
-    rng = spawn_rng(seed, "acceptance-wkb")
-    violations = 0
-    max_gap = -math.inf
-    for _ in range(trials):
-        profile = random_profile(rng, grid_n=512)
-        r = float(rng.uniform(-20.0, 20.0))
-        lhs, rhs, holds = wkb_compare(profile, r)
-        violations += not holds
-        max_gap = max(max_gap, lhs - rhs)
+    violations, max_gap = wkb_trials(spawn_rng(seed, "acceptance-wkb"), trials, grid_n=512)
     res = CriterionResult(5, "periodic WKB inequality over random rough drifts",
                           "deterministic", violations == 0, budget_s=120.0,
                           measured={"trials": trials, "violations": violations,
@@ -223,7 +209,7 @@ def criterion_8_dual_representation(seed: int = DEFAULT_SEED, fast: bool = False
         t = float(rng.uniform(0.5, 8.0))
         z = float(rng.uniform(-3.0, -0.1))
         cap = max(float(ev[-1]), -z * t ** (2.0 / 3.0)) + 1.0
-        spec = SpectrumSample(eigenvalues=ev, cap=cap, complete_below_cap=True)
+        spec = SpectrumSample(eigenvalues=ev, cap=cap)
         direct = linear_statistic(spec, z, t)
         dual = counting_integral(spec, z, t)
         if direct != 0.0:

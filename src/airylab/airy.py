@@ -128,11 +128,6 @@ def airy_ai(x: float) -> AiryEval:
     return AiryEval(value=value, log_scaled_value=scaled)
 
 
-def airy_ai_batch(xs) -> list[AiryEval]:
-    """Elementwise airy_ai; exact agreement with the scalar routine."""
-    return [airy_ai(float(x)) for x in np.asarray(xs, dtype=float).ravel()]
-
-
 def first_airy_zero() -> float:
     """Largest (least-negative) zero of Ai, located by bisection on ai_values."""
     lo, hi = -3.0, -2.0

@@ -1,8 +1,8 @@
 """Command-line entry point wiring the modules into reproducible runs.
 
 Every command records its seed in the output; identical (command, params,
-seed) produce byte-identical files.  Exit codes: 0 success, 1 domain error,
-2 resolution/convergence error, 64 usage error.
+seed) produce byte-identical files.  Exit codes: 0 success, 1 DomainError or
+ConfigurationError, 2 resolution/convergence error, 64 usage error.
 """
 from __future__ import annotations
 
@@ -10,20 +10,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import acceptance
-from .errors import DomainError, ResolutionError
-from .fredholm import KernelParams, fredholm_det, kernel_grid, laplace_transform_mc
+from .errors import ConfigurationError, DomainError, ResolutionError
+from .fredholm import KernelParams, determinant_vs_point_process, fredholm_det, kernel_grid
 from .hill import Boundary, HillConfig, NoisePath, hill_spectrum, riccati_count_hill
 from .mc import spawn_rng
 from .rate import phi_minus, phi_minus_scaled
 from .sao import (SaoConfig, ldp_estimate, riccati_count_sao, sample_path,
                   sandwich_check, sao_spectrum)
 from .variational import DiscretizationParams, riemann_sum_value, variational_report
-from .wkb import random_profile, wkb_compare
+from .wkb import wkb_trials
 
 SCHEMA_VERSION = 1
 
@@ -38,9 +38,7 @@ class RunConfig:
     command: str
     params: dict
     seed: int = 0
-    output: str = "json"
     out_path: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,14 +117,14 @@ def _cmd_sao(config: RunConfig) -> tuple[int, str]:
     sub = p["subcommand"]
     if sub == "spectrum":
         cfg = SaoConfig(beta=p["beta"], domain_l=p["domain_l"], grid_n=p["grid_n"],
-                        lambda_cap=p["lambda_cap"], seed=config.seed)
+                        lambda_cap=p["lambda_cap"])
         path = sample_path(cfg, spawn_rng(config.seed, "sao-spectrum"))
         spec = sao_spectrum(cfg, path)
         rows = [[i, float(ev)] for i, ev in enumerate(spec.eigenvalues, start=1)]
         return _EXIT_OK, _csv_dump(["index", "eigenvalue"], rows)
     if sub == "count":
         cfg = SaoConfig(beta=p["beta"], domain_l=p["domain_l"], grid_n=p["grid_n"],
-                        lambda_cap=p["lambda_cap"], seed=config.seed)
+                        lambda_cap=p["lambda_cap"])
         path = sample_path(cfg, spawn_rng(config.seed, "sao-count"))
         payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
                    "lambda": p["lam"],
@@ -157,34 +155,25 @@ def _cmd_sao(config: RunConfig) -> tuple[int, str]:
 
 def _cmd_fredholm(config: RunConfig) -> tuple[int, str]:
     p = config.params
-    params = KernelParams(s=p["s"], t=p["t"])
-    grid = kernel_grid(params, n_nodes=p["grid_nodes"], x_max=p["x_max"])
-    det = fredholm_det(params, grid)
-    payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
-               "s": p["s"], "t": p["t"], "det": det, "log_det": math.log(det)}
+    payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed, "s": p["s"], "t": p["t"]}
     if p.get("compare"):
-        cap = p["lambda_cap"]
         cfg = SaoConfig(beta=2.0, domain_l=p["domain_l"], grid_n=p["sao_grid_n"],
-                        lambda_cap=cap, seed=config.seed)
-        est = laplace_transform_mc(params, cfg, p["samples"], seed=config.seed,
-                                   factor_tol=p["factor_tol"])
-        sigma = abs(det - est.mean) / est.stderr if est.stderr > 0 else math.inf
+                        lambda_cap=p["lambda_cap"])
+        [(det, est, sigma)] = determinant_vs_point_process(
+            [(p["s"], p["t"], p["factor_tol"])], cfg, p["samples"], config.seed,
+            n_nodes=p["grid_nodes"], x_max=p["x_max"])
         payload.update({"mc_mean": est.mean, "mc_stderr": est.stderr,
                         "mc_samples": est.n_samples, "sigma_distance": sigma})
+    else:
+        params = KernelParams(s=p["s"], t=p["t"])
+        det = fredholm_det(params, kernel_grid(params, n_nodes=p["grid_nodes"], x_max=p["x_max"]))
+    payload.update({"det": det, "log_det": math.log(det)})
     return _EXIT_OK, _json_dump(payload)
 
 
 def _cmd_wkb(config: RunConfig) -> tuple[int, str]:
     p = config.params
-    rng = spawn_rng(config.seed, "wkb")
-    violations = 0
-    max_gap = -math.inf
-    for _ in range(p["trials"]):
-        profile = random_profile(rng, grid_n=p["grid_n"])
-        r = float(rng.uniform(-20.0, 20.0))
-        lhs, rhs, holds = wkb_compare(profile, r)
-        violations += not holds
-        max_gap = max(max_gap, lhs - rhs)
+    violations, max_gap = wkb_trials(spawn_rng(config.seed, "wkb"), p["trials"], p["grid_n"])
     payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
                "trials": p["trials"], "violations": violations, "max_gap": max_gap}
     return _EXIT_OK, _json_dump(payload)
@@ -311,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
-    except ValueError as exc:
+    except ConfigurationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
     except ResolutionError as exc:

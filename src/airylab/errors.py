@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: DomainError -> 1,
+The CLI maps these onto exit codes: DomainError and ConfigurationError -> 1,
 ResolutionError -> 2, usage problems -> 64.
 """
 

@@ -9,8 +9,8 @@ Gauss-Legendre nodes on [0, x_max], Gauss-Legendre panels for the inner r
 integral) gated by refinement convergence.  The same quantity equals the
 Airy-point-process expectation E[prod_i 1/(1 + s e^{-t^{1/3} lambda_i})]
 over spectra of the beta = 2 stochastic Airy operator, which
-laplace_transform_mc estimates by Monte Carlo; the two routes cross-check
-each other.
+airy_product_estimate estimates by Monte Carlo; determinant_vs_point_process
+cross-checks the two routes.
 """
 from __future__ import annotations
 
@@ -116,14 +116,10 @@ def _fermi(r: np.ndarray, params: KernelParams) -> np.ndarray:
 
 
 def _kernel_matrix(xs: np.ndarray, params: KernelParams, r_lo: float, r_hi: float,
-                   panel_order: int = 16, hard_edge: bool = False) -> np.ndarray:
+                   panel_order: int = 16) -> np.ndarray:
     """K(x_i, x_j) on all node pairs; Gram form keeps it symmetric PSD."""
-    if hard_edge:
-        r, wr = _gl_panels(0.0, r_hi, order=panel_order)
-        w_eff = wr
-    else:
-        r, wr = _gl_panels(r_lo, r_hi, order=panel_order)
-        w_eff = wr * _fermi(r, params)
+    r, wr = _gl_panels(r_lo, r_hi, order=panel_order)
+    w_eff = wr * _fermi(r, params)
     a = ai_values(xs[:, None] + r[None, :])
     return (a * w_eff[None, :]) @ a.T
 
@@ -154,8 +150,7 @@ def _nystrom_logdet(params: KernelParams, nodes: np.ndarray, weights: np.ndarray
 
 
 def fredholm_det(params: KernelParams, grid: QuadratureGrid, *,
-                 convergence_tol: float = 1e-8,
-                 return_log: bool = False) -> float:
+                 convergence_tol: float = 1e-8) -> float:
     """Nystrom determinant with a refinement convergence gate.
 
     The value is recomputed on a doubled node set (and a denser inner
@@ -175,7 +170,7 @@ def fredholm_det(params: KernelParams, grid: QuadratureGrid, *,
     if abs(det2 - det1) > convergence_tol:
         raise ResolutionError(
             f"determinant not converged: |{det2} - {det1}| > {convergence_tol}")
-    return logdet2 if return_log else det2
+    return det2
 
 
 def product_log_factors(eigenvalues: np.ndarray, params: KernelParams) -> float:
@@ -209,18 +204,28 @@ def sample_sao2_spectra(config: SaoConfig, n_samples: int, seed: int) -> list[Sp
     return [sao_spectrum(config, sample_path(config, rng)) for _ in range(n_samples)]
 
 
-def laplace_transform_mc(params: KernelParams, sao_config: SaoConfig,
-                         n_samples: int, *, seed: int = 0,
-                         factor_tol: float = 1e-15) -> McEstimate:
-    """Monte-Carlo estimate of E[prod_i 1/(1 + s e^{-t^{1/3} lambda_i})].
+def determinant_vs_point_process(cases: list[tuple[float, float, float]],
+                                 sao_config: SaoConfig, n_samples: int, seed: int, *,
+                                 n_nodes: int = 96, x_max: float = _X_MAX_DEFAULT
+                                 ) -> list[tuple[float, McEstimate, float]]:
+    """(det, Monte-Carlo product, sigma distance) for each (s, t, factor_tol).
 
-    The identity with the Fredholm determinant holds for the beta = 2
-    operator only; other beta values are rejected.
+    All cases share one batch of SAO spectra.  The identity with the
+    Fredholm determinant holds for the beta = 2 operator only; other beta
+    values are rejected.
     """
     if sao_config.beta != 2.0:
         raise DomainError("the point-process identity requires beta = 2")
+    kernels = [KernelParams(s=s, t=t) for s, t, _ in cases]
+    dets = [fredholm_det(params, kernel_grid(params, n_nodes=n_nodes, x_max=x_max))
+            for params in kernels]
     spectra = sample_sao2_spectra(sao_config, n_samples, seed)
-    return airy_product_estimate(spectra, params, factor_tol, seed)
+    rows = []
+    for params, det, (_, _, factor_tol) in zip(kernels, dets, cases):
+        est = airy_product_estimate(spectra, params, factor_tol, seed)
+        sigma = abs(det - est.mean) / est.stderr if est.stderr > 0 else math.inf
+        rows.append((det, est, sigma))
+    return rows
 
 
 def proxy_f(x: float) -> float:

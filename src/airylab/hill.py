@@ -3,7 +3,9 @@
 White noise enters as cell-averaged Brownian increments dW_i/h on the
 finite-difference diagonal; the Riccati counter consumes the same
 increments as piecewise-constant rates, so the two eigenvalue counts are
-coupled path by path.
+coupled path by path.  CellOperator is the one assembly of that operator:
+Hill levels (V = j xi), the stochastic Airy operator (V = x) and the WKB
+comparison operators (V = 0, f the drift profile) all build on it.
 
 Eigenvalues of the Dirichlet (tridiagonal) matrix come from LAPACK Sturm
 bisection (stebz); the periodic matrix carries two corner entries and is
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +23,9 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConfigurationError, DomainError, IncompleteSpectrumError
 
-_PERIODIC_DENSE_MAX = 4096
+_DENSE_MAX = 4096
 _INF = math.inf
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class Boundary(enum.Enum):
@@ -44,7 +48,8 @@ class NoisePath:
 
     @classmethod
     def sample(cls, rng: np.random.Generator, grid_n: int, step: float,
-               drift_rate: float = 0.0, seed: int = -1) -> "NoisePath":
+               drift_rate: float | np.ndarray = 0.0, seed: int = -1) -> "NoisePath":
+        """Draw the increments; drift_rate is one rate or one per cell."""
         inc = rng.standard_normal(grid_n) * math.sqrt(step) + drift_rate * step
         return cls(step=step, increments=inc, seed=seed)
 
@@ -56,10 +61,6 @@ class NoisePath:
     def grid_n(self) -> int:
         return int(self.increments.size)
 
-    def terminal_increment(self) -> float:
-        """W(end) - W(0)."""
-        return float(self.increments.sum())
-
 
 @dataclass(frozen=True)
 class SpectrumSample:
@@ -67,7 +68,6 @@ class SpectrumSample:
 
     eigenvalues: np.ndarray
     cap: float
-    complete_below_cap: bool
 
     def __post_init__(self):
         ev = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -77,26 +77,64 @@ class SpectrumSample:
         if ev.size and ev[-1] > self.cap + 1e-9 * max(1.0, abs(self.cap)):
             raise ConfigurationError("eigenvalues exceed the stated cap")
 
-    def deduplicated(self, rel_tol: float = 1e-12) -> np.ndarray:
-        """Strictly increasing eigenvalues after merging near-ties."""
-        ev = self.eigenvalues
-        if ev.size == 0:
-            return ev
-        keep = [ev[0]]
-        for lam in ev[1:]:
-            if lam - keep[-1] > rel_tol * max(1.0, abs(lam)):
-                keep.append(lam)
-        return np.array(keep)
-
     def shifted(self, offset: float) -> "SpectrumSample":
-        return SpectrumSample(eigenvalues=self.eigenvalues + offset,
-                              cap=self.cap + offset,
-                              complete_below_cap=self.complete_below_cap)
+        return SpectrumSample(eigenvalues=self.eigenvalues + offset, cap=self.cap + offset)
 
     def count_below(self, lam: float) -> int:
-        if lam > self.cap and self.complete_below_cap:
+        if lam > self.cap:
             raise IncompleteSpectrumError("count requested above the spectrum cap")
         return int(np.searchsorted(self.eigenvalues, lam, side="right"))
+
+
+@dataclass(frozen=True)
+class CellOperator:
+    """-d^2/dx^2 + V(x) + f'(x) on the cells [i h, (i+1) h), i < grid_n.
+
+    f' enters cell-averaged, slopes[i] = (f((i+1) h) - f(i h)) / h.  Matrix
+    row i sits on node i h and carries slopes[i], so the Dirichlet matrix
+    (nodes 1 .. grid_n-1) is the periodic one with node 0 removed and Cauchy
+    interlacing holds verbatim.  The Riccati flow sees V at cell midpoints.
+    Diagonals add 2/h^2 + V + f' and rates V + f' in that order; every
+    output bit for a given seed depends on it.
+    """
+
+    h: float
+    potential: Callable[[np.ndarray], np.ndarray | float]
+    slopes: np.ndarray
+
+    @classmethod
+    def on_path(cls, potential, beta: float, length: float, grid_n: int,
+                path: NoisePath) -> "CellOperator":
+        """V + (2/sqrt(beta)) W' on [0, length], W the Brownian path."""
+        if path.grid_n != grid_n:
+            raise ConfigurationError(f"path has {path.grid_n} cells, config expects {grid_n}")
+        if abs(path.step * grid_n - length) > 1e-12 * length:
+            raise ConfigurationError("path.step * grid_n must equal the domain length")
+        h = length / grid_n
+        return cls(h, potential, 2.0 / math.sqrt(beta) * path.increments / h)
+
+    def dirichlet(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diagonal, off-diagonal) with walls at nodes 0 and grid_n."""
+        h, n = self.h, self.slopes.size
+        diag = 2.0 / h ** 2 + self.potential(np.arange(1, n) * h) + self.slopes[1:]
+        return diag, np.full(n - 2, -1.0 / h ** 2)
+
+    def periodic(self) -> np.ndarray:
+        """Dense matrix with node grid_n identified with node 0."""
+        h, n = self.h, self.slopes.size
+        if n > _DENSE_MAX:
+            raise ConfigurationError(f"dense periodic solve limited to grid_n <= {_DENSE_MAX}")
+        m = np.zeros((n, n))
+        idx = np.arange(n)
+        m[idx, idx] = 2.0 / h ** 2 + self.potential(idx * h) + self.slopes
+        m[idx[:-1], idx[:-1] + 1] = -1.0 / h ** 2
+        m[idx[:-1] + 1, idx[:-1]] = -1.0 / h ** 2
+        m[0, n - 1] = m[n - 1, 0] = -1.0 / h ** 2
+        return m
+
+    def riccati_rates(self) -> np.ndarray:
+        """Constant coefficient V(midpoint) + f' of the Riccati flow per cell."""
+        return self.potential((np.arange(self.slopes.size) + 0.5) * self.h) + self.slopes
 
 
 @dataclass(frozen=True)
@@ -126,13 +164,9 @@ class HillConfig:
     def h(self) -> float:
         return self.xi / self.grid_n
 
-
-def _check_path(config: HillConfig, path: NoisePath) -> None:
-    if path.grid_n != config.grid_n:
-        raise ConfigurationError(
-            f"path has {path.grid_n} cells, config expects {config.grid_n}")
-    if abs(path.step * config.grid_n - config.xi) > 1e-12 * config.xi:
-        raise ConfigurationError("path.step * grid_n must equal xi")
+    def operator(self, path: NoisePath) -> CellOperator:
+        level = self.j * self.xi
+        return CellOperator.on_path(lambda y: level, self.beta, self.xi, self.grid_n, path)
 
 
 def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, cap: float) -> np.ndarray:
@@ -144,43 +178,15 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, cap: float) -> np
                                 check_finite=False, lapack_driver="stebz")
 
 
-def hill_matrix(config: HillConfig, path: NoisePath) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of the Dirichlet finite-difference matrix.
-
-    Interior node i (i = 1 .. grid_n-1) carries the increment of cell i, so
-    the Dirichlet matrix is exactly the principal submatrix of the periodic
-    one with node 0 removed (Cauchy interlacing holds verbatim).
-    """
-    _check_path(config, path)
-    h = config.h
-    noise = 2.0 / math.sqrt(config.beta) * path.increments / h
-    diag = 2.0 / h ** 2 + config.j * config.xi + noise[1:]
-    off = np.full(config.grid_n - 2, -1.0 / h ** 2)
-    return diag, off
-
-
 def hill_spectrum(config: HillConfig, path: NoisePath) -> SpectrumSample:
     """Eigenvalues <= lambda_cap under the configured boundary condition."""
-    _check_path(config, path)
-    h = config.h
+    op = config.operator(path)
     if config.boundary is Boundary.DIRICHLET:
-        diag, off = hill_matrix(config, path)
-        ev = tridiagonal_eigenvalues(diag, off, config.lambda_cap)
+        ev = tridiagonal_eigenvalues(*op.dirichlet(), config.lambda_cap)
     else:
-        n = config.grid_n
-        if n > _PERIODIC_DENSE_MAX:
-            raise ConfigurationError(
-                f"periodic boundary solved densely, grid_n must be <= {_PERIODIC_DENSE_MAX}")
-        noise = 2.0 / math.sqrt(config.beta) * path.increments / h
-        m = np.zeros((n, n))
-        idx = np.arange(n)
-        m[idx, idx] = 2.0 / h ** 2 + config.j * config.xi + noise
-        m[idx[:-1], idx[:-1] + 1] = -1.0 / h ** 2
-        m[idx[:-1] + 1, idx[:-1]] = -1.0 / h ** 2
-        m[0, n - 1] = m[n - 1, 0] = m[0, n - 1] - 1.0 / h ** 2
-        all_ev = np.linalg.eigvalsh(m)
+        all_ev = np.linalg.eigvalsh(op.periodic())
         ev = all_ev[all_ev <= config.lambda_cap]
-    return SpectrumSample(eigenvalues=ev, cap=config.lambda_cap, complete_below_cap=True)
+    return SpectrumSample(eigenvalues=ev, cap=config.lambda_cap)
 
 
 def riccati_cell_counts(q: np.ndarray, h: float) -> np.ndarray:
@@ -188,6 +194,8 @@ def riccati_cell_counts(q: np.ndarray, h: float) -> np.ndarray:
 
     Each cell has a constant coefficient, so the flow is advanced by the
     exact cot/tanh/coth solution; counting needs no blow-up thresholds.
+    Total on finite q and h > 0: raises DomainError only when a cell's
+    count does not fit in int64.
     """
     g = _INF
     counts = np.zeros(q.size, dtype=np.int64)
@@ -199,71 +207,69 @@ def riccati_cell_counts(q: np.ndarray, h: float) -> np.ndarray:
     floor = math.floor
     half_pi = 0.5 * math.pi
     pi = math.pi
-    for i, qi in enumerate(q):
-        c = 0
-        if qi > 0.0:
-            k = sqrt(qi)
-            if g == _INF:
-                u = k * h
-                g = k / tanh(u) if u < 20.0 else k
-            elif g >= k:
-                r = k / g
-                u = atanh(r if r < 1.0 else 1.0 - 1e-17) + k * h
-                g = k / tanh(u) if u < 20.0 else k
-            elif g > -k:
-                g = k * tanh(atanh(g / k) + k * h)
-            else:
-                r = k / g  # in (-1, 0]
-                u0 = atanh(r if r > -1.0 else -1.0 + 1e-17)
-                ystar = -u0 / k
-                if ystar <= h:
-                    c = 1
-                    rem = h - ystar
-                    if rem > 0.0:
-                        u = k * rem
-                        g = k / tanh(u) if u < 20.0 else k
+    try:
+        for i, qi in enumerate(q):
+            c = 0
+            if qi > 0.0:
+                k = sqrt(qi)
+                if g == _INF:
+                    u = k * h
+                    g = k if u >= 20.0 else k / tanh(u) if u > 0.0 else _INF
+                elif g >= k:
+                    r = k / g
+                    u = atanh(r if r < 1.0 else _BELOW_ONE) + k * h
+                    g = k if u >= 20.0 else k / tanh(u) if u > 0.0 else _INF
+                elif g > -k:
+                    g = k * tanh(atanh(g / k) + k * h)
+                else:
+                    r = k / g  # in (-1, 0]
+                    u0 = atanh(r if r > -1.0 else -_BELOW_ONE)
+                    ystar = -u0 / k
+                    if ystar <= h:
+                        c = 1
+                        rem = h - ystar
+                        if rem > 0.0:
+                            u = k * rem
+                            g = k if u >= 20.0 else k / tanh(u) if u > 0.0 else _INF
+                        else:
+                            g = _INF
                     else:
-                        g = _INF
-                else:
-                    g = k / tanh(u0 + k * h)
-        elif qi == 0.0:
-            if g == _INF:
-                g = 1.0 / h
-            elif g > 0.0:
-                g = g / (1.0 + g * h)
-            elif g == 0.0:
-                pass
-            else:
-                ystar = -1.0 / g
-                if ystar <= h:
-                    c = 1
-                    rem = h - ystar
-                    g = 1.0 / rem if rem > 0.0 else _INF
-                else:
+                        u = u0 + k * h
+                        g = k / tanh(u) if u != 0.0 else -_INF
+            elif qi == 0.0:
+                if g == _INF:
+                    g = 1.0 / h
+                elif g > 0.0:
                     g = g / (1.0 + g * h)
-        else:
-            k = sqrt(-qi)
-            phi0 = -half_pi if g == _INF else atan(-g / k)
-            phi_end = phi0 + k * h
-            if phi_end >= half_pi:
-                c = int(floor((phi_end - half_pi) / pi)) + 1
-            phi_exit = phi_end - c * pi
-            g = _INF if phi_exit <= -half_pi else -k * tan(phi_exit)
-        counts[i] = c
+                elif g == 0.0:
+                    pass
+                else:
+                    ystar = -1.0 / g
+                    if ystar <= h:
+                        c = 1
+                        rem = h - ystar
+                        g = 1.0 / rem if rem > 0.0 else _INF
+                    else:
+                        g = g / (1.0 + g * h)
+            else:
+                k = sqrt(-qi)
+                phi0 = -half_pi if g == _INF else atan(-g / k)
+                phi_end = phi0 + k * h
+                if phi_end >= half_pi:
+                    c = int(floor((phi_end - half_pi) / pi)) + 1
+                phi_exit = phi_end - c * pi
+                g = _INF if phi_exit <= -half_pi else -k * tan(phi_exit)
+            counts[i] = c
+    except OverflowError as exc:  # k h so large that the count leaves int64
+        raise DomainError("explosion count of one cell overflows int64") from exc
     return counts
-
-
-def hill_riccati_rates(config: HillConfig, path: NoisePath) -> np.ndarray:
-    """Per-cell constant potential rates j*xi + (2/sqrt(beta)) dW_i/h."""
-    _check_path(config, path)
-    return config.j * config.xi + 2.0 / math.sqrt(config.beta) * path.increments / config.h
 
 
 def riccati_count_hill(lam: float, config: HillConfig, path: NoisePath) -> int:
     """Number of Riccati explosions on (0, xi]; equals #{eigenvalues <= lam}."""
     if config.boundary is not Boundary.DIRICHLET:
         raise DomainError("Riccati counting applies to the Dirichlet boundary")
-    q = hill_riccati_rates(config, path) - lam
+    q = config.operator(path).riccati_rates() - lam
     return int(riccati_cell_counts(q, config.h).sum())
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def _path_component(item) -> int:
     if isinstance(item, (int, np.integer)):
@@ -58,7 +60,7 @@ def estimate_from_samples(values: np.ndarray, seed: int) -> McEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0:
-        raise ValueError("cannot estimate from zero samples")
+        raise DomainError("cannot estimate from zero samples")
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     return McEstimate(mean=mean, stderr=stderr, n_samples=n, seed=seed)
@@ -73,7 +75,7 @@ def estimate_from_log_samples(log_values: np.ndarray, seed: int) -> McEstimate:
     log_values = np.asarray(log_values, dtype=float)
     n = log_values.size
     if n == 0:
-        raise ValueError("cannot estimate from zero samples")
+        raise DomainError("cannot estimate from zero samples")
     m = float(log_values.max())
     if m == -math.inf:
         return McEstimate(mean=0.0, stderr=0.0, n_samples=n, seed=seed,

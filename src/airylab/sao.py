@@ -13,12 +13,13 @@ estimator unbiased at any resolution.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnderflowDiagnostic
-from .hill import (Boundary, HillConfig, NoisePath, SpectrumSample, hill_spectrum,
+from .hill import (CellOperator, HillConfig, NoisePath, SpectrumSample, hill_spectrum,
                    linear_statistic, riccati_cell_counts, tridiagonal_eigenvalues)
 from .mc import McEstimate, estimate_from_log_samples, product_estimate, spawn_rng
 from .variational import DiscretizationParams, DriftProblem, optimal_drift
@@ -34,7 +35,6 @@ class SaoConfig:
     domain_l: float
     grid_n: int
     lambda_cap: float
-    seed: int = 0
 
     def __post_init__(self):
         if not self.beta > 0.0:
@@ -56,13 +56,8 @@ class SaoConfig:
     def h(self) -> float:
         return self.domain_l / self.grid_n
 
-
-def _check_path(config: SaoConfig, path: NoisePath) -> None:
-    if path.grid_n != config.grid_n:
-        raise ConfigurationError(
-            f"path has {path.grid_n} cells, config expects {config.grid_n}")
-    if abs(path.step * config.grid_n - config.domain_l) > 1e-12 * config.domain_l:
-        raise ConfigurationError("path.step * grid_n must equal domain_l")
+    def operator(self, path: NoisePath) -> CellOperator:
+        return CellOperator.on_path(lambda x: x, self.beta, self.domain_l, self.grid_n, path)
 
 
 def sample_path(config: SaoConfig, rng: np.random.Generator) -> NoisePath:
@@ -71,97 +66,41 @@ def sample_path(config: SaoConfig, rng: np.random.Generator) -> NoisePath:
 
 def sao_spectrum(config: SaoConfig, path: NoisePath) -> SpectrumSample:
     """Eigenvalues <= lambda_cap, Dirichlet walls at 0 and domain_l."""
-    _check_path(config, path)
-    h = config.h
-    nodes = np.arange(1, config.grid_n) * h
-    noise = 2.0 / math.sqrt(config.beta) * path.increments / h
-    diag = 2.0 / h ** 2 + nodes + noise[1:]
-    off = np.full(config.grid_n - 2, -1.0 / h ** 2)
-    ev = tridiagonal_eigenvalues(diag, off, config.lambda_cap)
-    return SpectrumSample(eigenvalues=ev, cap=config.lambda_cap, complete_below_cap=True)
-
-
-def sao_riccati_cell_counts(lam: float, config: SaoConfig, path: NoisePath) -> np.ndarray:
-    """Explosions per cell of the linear-potential Riccati flow."""
-    _check_path(config, path)
-    h = config.h
-    mid = (np.arange(config.grid_n) + 0.5) * h
-    q = mid + 2.0 / math.sqrt(config.beta) * path.increments / h - lam
-    return riccati_cell_counts(q, h)
+    ev = tridiagonal_eigenvalues(*config.operator(path).dirichlet(), config.lambda_cap)
+    return SpectrumSample(eigenvalues=ev, cap=config.lambda_cap)
 
 
 def riccati_count_sao(lam: float, config: SaoConfig, path: NoisePath) -> int:
-    return int(sao_riccati_cell_counts(lam, config, path).sum())
+    q = config.operator(path).riccati_rates() - lam
+    return int(riccati_cell_counts(q, config.h).sum())
 
 
-@dataclass(frozen=True)
-class DriftedPathSpec:
-    """Per-level drifts for importance sampling.
+def weighted_log_samples(log_statistic: Callable[[NoisePath], float], rates: np.ndarray,
+                         h: float, n_samples: int, rng: np.random.Generator,
+                         seed: int) -> np.ndarray:
+    """log_statistic(path) + log dP_0/dP_drift per path drawn with cell drift rates.
 
-    drift_per_level[k] is the drift value v for level j = k + 1 (the window
-    ((j-1) xi, j xi]); the path drift rate on that window is t^{2/3} v.
-    Levels beyond the list carry zero drift.
+    The weight -sum r_i dW_i + (1/2) sum r_i^2 h is exact for Gaussian
+    increments, so the mean of exp(value) is the undrifted expectation at
+    any resolution; zero rates give weight 0 and plain Monte Carlo.
     """
-
-    base_seed: int
-    drift_per_level: tuple
-    t: float
-    xi: float
-
-    def __post_init__(self):
-        drifts = tuple(float(v) for v in self.drift_per_level)
-        if any(not math.isfinite(v) for v in drifts):
-            raise DomainError("drift values must be finite")
-        object.__setattr__(self, "drift_per_level", drifts)
-
-    def drift_for_level(self, level_j: int) -> float:
-        if level_j < 1:
-            raise DomainError("levels are indexed from 1")
-        k = level_j - 1
-        return self.drift_per_level[k] if k < len(self.drift_per_level) else 0.0
-
-    def rate_for_level(self, level_j: int) -> float:
-        """Drift rate on the path: t^{2/3} v_j per unit length."""
-        return self.t ** (2.0 / 3.0) * self.drift_for_level(level_j)
-
-
-def girsanov_log_weight(increments: np.ndarray, rates: np.ndarray, step: float) -> float:
-    """log dP_0/dP_drift of a drifted discrete path, exact per increment."""
-    rates = np.asarray(rates, dtype=float)
-    return float(-(rates * increments).sum() + 0.5 * (rates ** 2).sum() * step)
-
-
-def sample_drifted_path(spec: DriftedPathSpec, level_j: int, grid_n: int,
-                        draw: int = 0) -> tuple[NoisePath, float]:
-    """One level window of drifted Brownian motion plus its exact log weight.
-
-    The weight is the Radon-Nikodym factor of the undrifted law against the
-    drifted law on the realized path, so E_drift[weight * f] = E_0[f].
-    """
-    rng = spawn_rng(spec.base_seed, "drifted-path", level_j, draw)
-    h = spec.xi / grid_n
-    rate = spec.rate_for_level(level_j)
-    path = NoisePath.sample(rng, grid_n, h, drift_rate=rate, seed=spec.base_seed)
-    logw = girsanov_log_weight(path.increments, np.full(grid_n, rate), h)
-    return path, logw
+    half_r2h = 0.5 * float((rates ** 2).sum()) * h
+    log_vals = np.empty(n_samples)
+    for k in range(n_samples):
+        path = NoisePath.sample(rng, rates.size, h, drift_rate=rates, seed=seed)
+        logw = -float((rates * path.increments).sum()) + half_r2h
+        log_vals[k] = log_statistic(path) + logw
+    return log_vals
 
 
 def _hill_level_estimate(level_j: int, z: float, t: float, beta: float, xi: float,
-                         n_samples: int, seed: int, grid_n: int,
-                         drift_v: float = 0.0, stream: str = "hill-level") -> McEstimate:
-    """E[exp(linear statistic)] of Hill level j, optionally drift-sampled."""
+                         n_samples: int, seed: int, grid_n: int) -> McEstimate:
+    """E[exp(linear statistic)] of Hill level j."""
     threshold = -z * t ** (2.0 / 3.0)
-    config = HillConfig(j=level_j, xi=xi, beta=beta, boundary=Boundary.DIRICHLET,
-                        grid_n=grid_n, lambda_cap=threshold)
-    rng = spawn_rng(seed, stream, level_j)
-    h = config.h
-    rate = t ** (2.0 / 3.0) * drift_v
-    log_vals = np.empty(n_samples)
-    for k in range(n_samples):
-        path = NoisePath.sample(rng, grid_n, h, drift_rate=rate, seed=seed)
-        s = linear_statistic(hill_spectrum(config, path), z, t)
-        logw = -rate * path.terminal_increment() + 0.5 * rate ** 2 * xi
-        log_vals[k] = s + logw
+    config = HillConfig(j=level_j, xi=xi, beta=beta, grid_n=grid_n, lambda_cap=threshold)
+    log_vals = weighted_log_samples(
+        lambda path: linear_statistic(hill_spectrum(config, path), z, t),
+        np.zeros(grid_n), config.h, n_samples, spawn_rng(seed, "sandwich-hill", level_j), seed)
     return estimate_from_log_samples(log_vals, seed)
 
 
@@ -170,16 +109,11 @@ def _sao_expectation(z: float, t: float, beta: float, n_samples: int, seed: int,
                      spectrum_shift: float = 0.0) -> McEstimate:
     """E[exp(linear statistic)] over SAO samples, spectrum shifted if asked."""
     threshold = -z * t ** (2.0 / 3.0)
-    cap = threshold - spectrum_shift
     config = SaoConfig(beta=beta, domain_l=domain_l, grid_n=grid_n,
-                       lambda_cap=cap, seed=seed)
-    rng = spawn_rng(seed, stream)
-    log_vals = np.empty(n_samples)
-    for k in range(n_samples):
-        spec = sao_spectrum(config, sample_path(config, rng))
-        if spectrum_shift != 0.0:
-            spec = spec.shifted(spectrum_shift)
-        log_vals[k] = linear_statistic(spec, z, t)
+                       lambda_cap=threshold - spectrum_shift)
+    log_vals = weighted_log_samples(
+        lambda path: linear_statistic(sao_spectrum(config, path).shifted(spectrum_shift), z, t),
+        np.zeros(grid_n), config.h, n_samples, spawn_rng(seed, stream), seed)
     return estimate_from_log_samples(log_vals, seed)
 
 
@@ -201,8 +135,7 @@ def sandwich_check(z: float, t: float, beta: float, params: DiscretizationParams
     if sao_domain_l is None:
         sao_domain_l = max(threshold, 0.0) + 10.0
     hill_est = {
-        j: _hill_level_estimate(j, z, t, beta, xi, n_samples, seed, hill_grid_n,
-                                stream="sandwich-hill")
+        j: _hill_level_estimate(j, z, t, beta, xi, n_samples, seed, hill_grid_n)
         for j in range(0, n + 1)
     }
     middle = _sao_expectation(z, t, beta, n_samples, seed,
@@ -242,32 +175,19 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
     if use_importance:
         params = DiscretizationParams.from_deviation(z, t, a)
         drifts = optimal_drift_profile(z, beta, params)
-        drifted_span = params.n * params.xi
-        domain_l = max(threshold, drifted_span) + domain_margin
+        domain_l = max(threshold, params.n * params.xi) + domain_margin
     else:
-        params = None
-        drifts = []
-        drifted_span = 0.0
         domain_l = max(threshold, 0.0) + domain_margin
-    config = SaoConfig(beta=beta, domain_l=domain_l, grid_n=grid_n,
-                       lambda_cap=threshold, seed=seed)
-    h = config.h
+    config = SaoConfig(beta=beta, domain_l=domain_l, grid_n=grid_n, lambda_cap=threshold)
     rates = np.zeros(grid_n)
     if use_importance:
-        mid = (np.arange(grid_n) + 0.5) * h
+        mid = (np.arange(grid_n) + 0.5) * config.h
         level_of_cell = np.floor(mid / params.xi).astype(int) + 1
         inside = level_of_cell <= params.n
-        drift_arr = np.asarray(drifts)
-        rates[inside] = t ** (2.0 / 3.0) * drift_arr[level_of_cell[inside] - 1]
-    sqrt_h = math.sqrt(h)
-    half_r2h = 0.5 * float((rates ** 2).sum()) * h
-    log_vals = np.empty(n_samples)
-    for k in range(n_samples):
-        inc = rng.standard_normal(grid_n) * sqrt_h + rates * h
-        path = NoisePath(step=h, increments=inc, seed=seed)
-        s = linear_statistic(sao_spectrum(config, path), z, t)
-        logw = -float((rates * inc).sum()) + half_r2h
-        log_vals[k] = s + logw
+        rates[inside] = t ** (2.0 / 3.0) * np.asarray(drifts)[level_of_cell[inside] - 1]
+    log_vals = weighted_log_samples(
+        lambda path: linear_statistic(sao_spectrum(config, path), z, t),
+        rates, config.h, n_samples, rng, seed)
     if not use_importance and np.all(log_vals < -745.0):
         raise UnderflowDiagnostic(
             "every weighted sample underflows; enable importance sampling")

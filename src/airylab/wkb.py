@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .hill import SpectrumSample
-
-_DENSE_MAX = 4096
+from .hill import CellOperator, SpectrumSample
 
 
 @dataclass(frozen=True)
@@ -38,8 +36,6 @@ class PotentialProfile:
             raise ConfigurationError("need grid_n + 1 samples of f")
         if self.grid_n < 16:
             raise ConfigurationError("grid_n must be at least 16")
-        if self.grid_n > _DENSE_MAX:
-            raise ConfigurationError(f"dense periodic solve limited to grid_n <= {_DENSE_MAX}")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -92,25 +88,12 @@ def ky_fan_sum(matrix: np.ndarray, n: int) -> float:
     return float(ev[:n].sum())
 
 
-def _periodic_matrix(diag_potential: np.ndarray, h: float) -> np.ndarray:
-    n = diag_potential.size
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = 2.0 / h ** 2 + diag_potential
-    m[idx[:-1], idx[:-1] + 1] = -1.0 / h ** 2
-    m[idx[:-1] + 1, idx[:-1]] = -1.0 / h ** 2
-    m[0, n - 1] -= 1.0 / h ** 2
-    m[n - 1, 0] -= 1.0 / h ** 2
-    return m
-
-
 def periodic_matrices(profile: PotentialProfile) -> tuple[np.ndarray, np.ndarray]:
     """(H, H~) as dense periodic finite-difference matrices."""
     h = profile.h
-    increments = np.diff(profile.samples) / h
-    rough = _periodic_matrix(increments, h)
-    flat = _periodic_matrix(np.full(profile.grid_n, profile.mean_slope), h)
-    return rough, flat
+    rough = CellOperator(h, lambda x: 0.0, np.diff(profile.samples) / h)
+    flat = CellOperator(h, lambda x: 0.0, np.full(profile.grid_n, profile.mean_slope))
+    return rough.periodic(), flat.periodic()
 
 
 def periodic_hill_pair(profile: PotentialProfile) -> tuple[SpectrumSample, SpectrumSample]:
@@ -119,8 +102,8 @@ def periodic_hill_pair(profile: PotentialProfile) -> tuple[SpectrumSample, Spect
     ev_rough = np.linalg.eigvalsh(rough)
     ev_flat = np.linalg.eigvalsh(flat)
     cap = float(max(ev_rough[-1], ev_flat[-1]))
-    return (SpectrumSample(eigenvalues=ev_rough, cap=cap, complete_below_cap=True),
-            SpectrumSample(eigenvalues=ev_flat, cap=cap, complete_below_cap=True))
+    return (SpectrumSample(eigenvalues=ev_rough, cap=cap),
+            SpectrumSample(eigenvalues=ev_flat, cap=cap))
 
 
 def wkb_compare(profile: PotentialProfile, r: float) -> tuple[float, float, bool]:
@@ -130,6 +113,20 @@ def wkb_compare(profile: PotentialProfile, r: float) -> tuple[float, float, bool
     rhs = min_partial_sum(flat.eigenvalues, r)
     tol = 1e-8 * (1.0 + abs(lhs))
     return lhs, rhs, lhs <= rhs + tol
+
+
+def wkb_trials(rng: np.random.Generator, trials: int,
+               grid_n: int) -> tuple[int, float]:
+    """(violations, largest lhs - rhs) of wkb_compare over random profiles and r."""
+    violations = 0
+    max_gap = -math.inf
+    for _ in range(trials):
+        profile = random_profile(rng, grid_n=grid_n)
+        r = float(rng.uniform(-20.0, 20.0))
+        lhs, rhs, holds = wkb_compare(profile, r)
+        violations += not holds
+        max_gap = max(max_gap, lhs - rhs)
+    return violations, max_gap
 
 
 def eigensum_compare(profile: PotentialProfile, n: int) -> tuple[float, float]:

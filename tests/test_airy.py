@@ -4,10 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from airylab.airy import ai_values, airy_ai, airy_ai_batch, first_airy_zero
+from airylab.airy import ai_values, airy_ai, first_airy_zero
 from airylab.errors import DomainError
 
 mp.mp.dps = 30
@@ -90,21 +88,6 @@ class TestScaledRepresentation:
         for x in np.linspace(0.0, 30.0, 61):
             v = airy_ai(float(x)).value
             assert 0.0 < v <= AI_ZERO_VALUE + 1e-15
-
-
-class TestBatch:
-    def test_empty(self):
-        assert airy_ai_batch([]) == []
-
-    def test_singleton(self):
-        assert airy_ai_batch([0.0]) == [airy_ai(0.0)]
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.floats(min_value=-30, max_value=30), max_size=12))
-    def test_matches_scalar_calls(self, xs):
-        batch = airy_ai_batch(xs)
-        singles = [airy_ai(float(x)) for x in xs]
-        assert batch == singles
 
 
 class TestInvariants:

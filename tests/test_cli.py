@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from airylab import cli
 from airylab.cli import main
 
 
@@ -122,6 +123,19 @@ class TestExitCodes:
         code = main(["rate-fn", "--z-min", "-1", "--z-max", "0", "--steps", "2",
                      "--beta", "-1"])
         assert code == 1
+
+    def test_configuration_error_exit_one(self, capsys):
+        assert main(["hill", "--grid-n", "8"]) == 1
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_plain_value_error_is_not_invalid_input(self, capsys, monkeypatch):
+        def broken(config):
+            raise ValueError("a bug, not a user error")
+
+        monkeypatch.setitem(cli._DISPATCH, "wkb", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["wkb", "--trials", "1"])
+        assert "invalid input" not in capsys.readouterr().err
 
 
 class TestFredholmCommand:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from airylab.errors import DomainError, IncompleteSpectrumError, ResolutionError
-from airylab.fredholm import (KernelParams, QuadratureGrid, fredholm_det, kernel_eval,
-                              kernel_grid, laplace_transform_mc, product_log_factors,
-                              proxy_f, proxy_psi, truncation_threshold)
+from airylab.fredholm import (KernelParams, QuadratureGrid, airy_product_estimate,
+                              determinant_vs_point_process, fredholm_det, kernel_eval,
+                              kernel_grid, product_log_factors, proxy_f, proxy_psi,
+                              sample_sao2_spectra, truncation_threshold)
 from airylab.mc import spawn_rng
 from airylab.sao import SaoConfig
 
@@ -143,29 +144,28 @@ class TestProductSide:
 
     def test_small_s_estimate_near_one(self):
         params = KernelParams(s=1e-8, t=1.0)
-        cfg = SaoConfig(beta=2.0, domain_l=16.0, grid_n=2 ** 11, lambda_cap=6.0, seed=61)
-        est = laplace_transform_mc(params, cfg, 50, seed=61, factor_tol=1e-6)
+        cfg = SaoConfig(beta=2.0, domain_l=16.0, grid_n=2 ** 11, lambda_cap=6.0)
+        est = airy_product_estimate(sample_sao2_spectra(cfg, 50, 61), params, 1e-6, 61)
         assert est.mean == pytest.approx(1.0, abs=1e-4)
 
     def test_beta_restriction(self):
-        params = KernelParams(s=1.0, t=1.0)
-        cfg = SaoConfig(beta=1.0, domain_l=40.0, grid_n=2 ** 12, lambda_cap=35.0, seed=62)
+        cfg = SaoConfig(beta=1.0, domain_l=40.0, grid_n=2 ** 12, lambda_cap=35.0)
         with pytest.raises(DomainError):
-            laplace_transform_mc(params, cfg, 10, seed=62)
+            determinant_vs_point_process([(1.0, 1.0, 1e-15)], cfg, 10, 62)
 
     def test_incomplete_cap_rejected(self):
         params = KernelParams(s=1.0, t=1.0)
-        cfg = SaoConfig(beta=2.0, domain_l=16.0, grid_n=2 ** 11, lambda_cap=6.0, seed=63)
+        cfg = SaoConfig(beta=2.0, domain_l=16.0, grid_n=2 ** 11, lambda_cap=6.0)
         with pytest.raises(IncompleteSpectrumError):
-            laplace_transform_mc(params, cfg, 10, seed=63, factor_tol=1e-15)
+            airy_product_estimate(sample_sao2_spectra(cfg, 10, 63), params, 1e-15, 63)
 
     def test_det_matches_mc_at_reduced_scale(self):
         # smaller twin of the acceptance identity: one (s, t) point
-        params = KernelParams(s=1.0, t=1.0)
-        det = fredholm_det(params, kernel_grid(params, n_nodes=64))
-        cfg = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 12, lambda_cap=35.0, seed=64)
-        est = laplace_transform_mc(params, cfg, 500, seed=64)
+        cfg = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 12, lambda_cap=35.0)
+        [(det, est, sigma)] = determinant_vs_point_process([(1.0, 1.0, 1e-15)], cfg, 500, 64,
+                                                            n_nodes=64)
         assert abs(det - est.mean) <= 3.0 * est.stderr
+        assert sigma == abs(det - est.mean) / est.stderr
 
 
 class TestProxies:

@@ -1,13 +1,17 @@
 """Hill operators: exact discrete spectra, Riccati counting, linear statistics."""
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airylab.errors import ConfigurationError, DomainError, IncompleteSpectrumError
 from airylab.hill import (Boundary, HillConfig, NoisePath, SpectrumSample,
                           counting_integral, hill_spectrum, linear_statistic,
-                          riccati_count_hill)
+                          riccati_cell_counts, riccati_count_hill, tridiagonal_eigenvalues)
 from airylab.mc import spawn_rng
 
 
@@ -111,6 +115,72 @@ class TestRiccatiCount:
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_q_arrays = st.one_of(
+    st.lists(_finite, min_size=1, max_size=40),
+    st.tuples(_finite, st.integers(1, 40)).map(lambda pair: [pair[0]] * pair[1]))
+
+
+class TestRiccatiTotality:
+    def test_saturated_cells_in_a_row(self):
+        # k h >= 20 on consecutive cells with equal k puts atanh at its pole 1
+        cfg = HillConfig(j=1, xi=1.0, beta=2.0, grid_n=16)
+        assert riccati_count_hill(-1e4, cfg, NoisePath.zeros(16, 1.0 / 16)) == 0
+
+    def test_count_beyond_int64_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            riccati_cell_counts(np.array([-1e300]), 1.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_q_arrays, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_total_on_finite_input(self, q, h):
+        q = np.asarray(q, dtype=float)
+        if q.min() >= 0.0:
+            assert not riccati_cell_counts(q, h).any()
+            return
+        try:
+            counts = riccati_cell_counts(q, h)
+        except DomainError:
+            return
+        assert counts.dtype == np.int64
+        assert np.all(counts >= 0)
+
+
+class TestReferenceAssembly:
+    """Spectra and rates equal, bit for bit, those of a hand-written assembly:
+    2/h^2 + j xi + noise and j xi + noise, summed left to right, so a seed
+    keeps its output bytes."""
+
+    @pytest.mark.parametrize("grid_n, xi", [(16, 10.0), (64, 7.3)])
+    def test_hill_bits(self, grid_n, xi):
+        cfg = HillConfig(j=2, xi=xi, beta=2.0, grid_n=grid_n, lambda_cap=1e9)
+        path = NoisePath.sample(spawn_rng(17, "reference-assembly", grid_n), grid_n, cfg.h)
+        h = cfg.h
+        noise = 2.0 / math.sqrt(cfg.beta) * path.increments / h
+        diag = 2.0 / h ** 2 + cfg.j * cfg.xi + noise[1:]
+        # the guard has teeth: grouping V with the noise moves some entries
+        assert not np.array_equal(diag, 2.0 / h ** 2 + (cfg.j * cfg.xi + noise[1:]))
+        off = np.full(grid_n - 2, -1.0 / h ** 2)
+        assert np.array_equal(cfg.operator(path).dirichlet()[0], diag)
+        assert np.array_equal(hill_spectrum(cfg, path).eigenvalues,
+                              tridiagonal_eigenvalues(diag, off, cfg.lambda_cap))
+
+        m = np.zeros((grid_n, grid_n))
+        idx = np.arange(grid_n)
+        m[idx, idx] = 2.0 / h ** 2 + cfg.j * cfg.xi + noise
+        m[idx[:-1], idx[:-1] + 1] = -1.0 / h ** 2
+        m[idx[:-1] + 1, idx[:-1]] = -1.0 / h ** 2
+        m[0, grid_n - 1] = m[grid_n - 1, 0] = m[0, grid_n - 1] - 1.0 / h ** 2
+        periodic = hill_spectrum(dataclasses.replace(cfg, boundary=Boundary.PERIODIC), path)
+        assert np.array_equal(periodic.eigenvalues, np.linalg.eigvalsh(m))
+
+        rates = cfg.j * cfg.xi + 2.0 / math.sqrt(cfg.beta) * path.increments / cfg.h
+        assert np.array_equal(cfg.operator(path).riccati_rates(), rates)
+        for lam in np.linspace(cfg.j * cfg.xi, 4.0 / h ** 2, 7):
+            assert riccati_count_hill(lam, cfg, path) == int(
+                riccati_cell_counts(rates - lam, h).sum())
+
+
 class TestInterlacing:
     def test_periodic_below_next_dirichlet(self):
         # periodic matrix contains the Dirichlet one as a principal block,
@@ -132,8 +202,7 @@ class TestInterlacing:
 
 class TestLinearStatistic:
     def _spec(self, eigenvalues, cap):
-        return SpectrumSample(eigenvalues=np.asarray(eigenvalues, dtype=float),
-                              cap=cap, complete_below_cap=True)
+        return SpectrumSample(eigenvalues=np.asarray(eigenvalues, dtype=float), cap=cap)
 
     def test_empty_below_threshold(self):
         spec = self._spec([5.0, 7.0], cap=10.0)
@@ -188,8 +257,3 @@ class TestNoisePath:
     def test_zero_step_rejected(self):
         with pytest.raises(ConfigurationError):
             NoisePath(step=0.0, increments=np.zeros(4), seed=0)
-
-    def test_dedup_tolerance(self):
-        spec = SpectrumSample(eigenvalues=np.array([1.0, 1.0 + 1e-14, 2.0]),
-                              cap=3.0, complete_below_cap=True)
-        assert spec.deduplicated().size == 2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from airylab.errors import DomainError
 from airylab.mc import (McEstimate, estimate_from_log_samples, estimate_from_samples,
                         product_estimate, spawn_rng)
 
@@ -56,8 +57,10 @@ class TestEstimates:
         assert est.log_mean == -math.inf
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             estimate_from_samples(np.array([]), seed=5)
+        with pytest.raises(DomainError):
+            estimate_from_log_samples(np.array([]), seed=5)
 
 
 class TestProduct:

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from airylab import sao
 from airylab.errors import ConfigurationError, DomainError
-from airylab.hill import (HillConfig, NoisePath, hill_spectrum, linear_statistic,
-                          riccati_count_hill)
-from airylab.mc import estimate_from_samples, spawn_rng
+from airylab.hill import (HillConfig, NoisePath, SpectrumSample, hill_spectrum,
+                          linear_statistic, riccati_cell_counts, riccati_count_hill,
+                          tridiagonal_eigenvalues)
+from airylab.mc import estimate_from_log_samples, estimate_from_samples, spawn_rng
 from airylab.rate import phi_minus
-from airylab.sao import (DriftedPathSpec, SaoConfig, girsanov_log_weight, ldp_estimate,
-                         riccati_count_sao, sample_drifted_path, sample_path,
-                         sandwich_check, sao_riccati_cell_counts, sao_spectrum)
+from airylab.sao import (SaoConfig, ldp_estimate, optimal_drift_profile, riccati_count_sao,
+                         sample_path, sandwich_check, sao_spectrum, weighted_log_samples)
 from airylab.variational import DiscretizationParams
 
 # bisection zeros of Ai (airylab.airy.first_airy_zero locates the first; the
@@ -38,7 +39,7 @@ class TestSpectrum:
 
     def test_ground_state_band(self):
         # E[lambda_1] = -E[top Airy point] ~ +1.77 at beta = 2
-        cfg = SaoConfig(beta=2.0, domain_l=12.0, grid_n=2 ** 11, lambda_cap=6.0, seed=31)
+        cfg = SaoConfig(beta=2.0, domain_l=12.0, grid_n=2 ** 11, lambda_cap=6.0)
         rng = spawn_rng(31, "ground-state")
         samples = np.empty(2000)
         for i in range(samples.size):
@@ -114,6 +115,75 @@ class TestRiccati:
             assert dual == pytest.approx(direct, rel=1e-6, abs=1e-12)
 
 
+def reference_ldp_estimate(z, t, beta, n_samples, seed, grid_n, use_importance):
+    """ldp_estimate spelled out as one loop with its own matrix assembly and
+    Girsanov weights; also returns the weighted log values."""
+    threshold = -z * t ** (2.0 / 3.0)
+    rng = spawn_rng(seed, "ldp", "importance" if use_importance else "plain")
+    params = DiscretizationParams.from_deviation(z, t, 0.0)
+    span = params.n * params.xi if use_importance else 0.0
+    domain_l = max(threshold, span) + 8.0
+    h = domain_l / grid_n
+    rates = np.zeros(grid_n)
+    if use_importance:
+        mid = (np.arange(grid_n) + 0.5) * h
+        level_of_cell = np.floor(mid / params.xi).astype(int) + 1
+        inside = level_of_cell <= params.n
+        drift_arr = np.asarray(optimal_drift_profile(z, beta, params))
+        rates[inside] = t ** (2.0 / 3.0) * drift_arr[level_of_cell[inside] - 1]
+    nodes = np.arange(1, grid_n) * h
+    off = np.full(grid_n - 2, -1.0 / h ** 2)
+    half_r2h = 0.5 * float((rates ** 2).sum()) * h
+    log_vals = np.empty(n_samples)
+    for k in range(n_samples):
+        inc = rng.standard_normal(grid_n) * math.sqrt(h) + rates * h
+        noise = 2.0 / math.sqrt(beta) * inc / h
+        ev = tridiagonal_eigenvalues(2.0 / h ** 2 + nodes + noise[1:], off, threshold)
+        s = linear_statistic(SpectrumSample(eigenvalues=ev, cap=threshold), z, t)
+        log_vals[k] = s + (-float((rates * inc).sum()) + half_r2h)
+    est = estimate_from_log_samples(log_vals, seed)
+    return log_vals, (est.log_mean / t ** 2, est.rel_stderr / t ** 2)
+
+
+class TestReferenceAssembly:
+    """Bit-for-bit agreement with a hand-written assembly: 2/h^2 + x + noise
+    and x_mid + noise, summed left to right, so a seed keeps its output bytes."""
+
+    def test_sao_bits(self):
+        cfg = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2048, lambda_cap=36.0)
+        path = sample_path(cfg, spawn_rng(36, "reference-assembly"))
+        h = cfg.h
+        noise = 2.0 / math.sqrt(cfg.beta) * path.increments / h
+        nodes = np.arange(1, cfg.grid_n) * h
+        diag = 2.0 / h ** 2 + nodes + noise[1:]
+        # the guard has teeth: grouping V with the noise moves some entries
+        assert not np.array_equal(diag, 2.0 / h ** 2 + (nodes + noise[1:]))
+        off = np.full(cfg.grid_n - 2, -1.0 / h ** 2)
+        assert np.array_equal(cfg.operator(path).dirichlet()[0], diag)
+        assert np.array_equal(sao_spectrum(cfg, path).eigenvalues,
+                              tridiagonal_eigenvalues(diag, off, cfg.lambda_cap))
+        rates = (np.arange(cfg.grid_n) + 0.5) * h + noise
+        assert np.array_equal(cfg.operator(path).riccati_rates(), rates)
+        for lam in np.linspace(-2.0, 30.0, 5):
+            assert riccati_count_sao(lam, cfg, path) == int(
+                riccati_cell_counts(rates - lam, h).sum())
+
+    @pytest.mark.parametrize("use_importance", [False, True])
+    def test_ldp_bits(self, use_importance, monkeypatch):
+        seen = []
+
+        def capture(log_vals, seed):
+            seen.append(log_vals.copy())
+            return estimate_from_log_samples(log_vals, seed)
+
+        monkeypatch.setattr(sao, "estimate_from_log_samples", capture)
+        est = ldp_estimate(-1.0, 4.0, 2.0, n_samples=8, seed=57, grid_n=256,
+                           use_importance=use_importance)
+        log_vals, mean_stderr = reference_ldp_estimate(-1.0, 4.0, 2.0, 8, 57, 256, use_importance)
+        assert np.array_equal(seen[0], log_vals)
+        assert (est.mean, est.stderr) == mean_stderr
+
+
 class TestWindowCoupling:
     def test_hill_window_squeeze(self):
         # coupled W(y) = B(y + (j-1) xi): level-j count bounds the window
@@ -130,7 +200,7 @@ class TestWindowCoupling:
             inc = rng.standard_normal(grid_n) * math.sqrt(h)
             path = NoisePath(step=h, increments=inc, seed=0)
             lam = float(rng.uniform(0.0, 4.0))
-            per_cell = sao_riccati_cell_counts(lam, cfg, path)
+            per_cell = riccati_cell_counts(cfg.operator(path).riccati_rates() - lam, h)
             for j in range(1, n_windows + 1):
                 window = slice((j - 1) * cells, j * cells)
                 window_count = int(per_cell[window].sum())
@@ -144,46 +214,69 @@ class TestWindowCoupling:
                 assert window_count <= n_jm1 + 1
 
 
+class _MeanPathRng:
+    """Stands in for a Generator whose normal draws are all zero."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
 class TestGirsanov:
     def test_zero_drift_identity(self):
-        spec = DriftedPathSpec(base_seed=7, drift_per_level=(0.0,), t=4.0, xi=1.0)
-        path, logw = sample_drifted_path(spec, 1, 256)
-        assert logw == 0.0
-        assert path.grid_n == 256
+        grid_ns = []
+
+        def statistic(path):
+            grid_ns.append(path.grid_n)
+            return 0.0
+
+        logs = weighted_log_samples(statistic, np.zeros(256), 1.0 / 256, 5,
+                                    spawn_rng(7, "zero-drift"), 7)
+        assert np.all(logs == 0.0)
+        assert grid_ns == [256] * 5
 
     def test_weight_mean_one_under_drifted_law(self):
-        spec = DriftedPathSpec(base_seed=8, drift_per_level=(0.4,), t=4.0, xi=1.0)
+        rate = 4.0 ** (2.0 / 3.0) * 0.4
         n = 10 ** 5
-        rate = spec.rate_for_level(1)
-        rng = spawn_rng(8, "weight-mean")
-        h = 1.0 / 64
-        sqrt_h = math.sqrt(h)
-        logs = np.empty(n)
-        for i in range(n):
-            inc = rng.standard_normal(64) * sqrt_h + rate * h
-            logs[i] = -rate * inc.sum() + 0.5 * rate ** 2 * 1.0
+        logs = weighted_log_samples(lambda path: 0.0, np.full(64, rate), 1.0 / 64, n,
+                                    spawn_rng(8, "weight-mean"), 8)
         est = estimate_from_samples(np.exp(logs), 8)
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
     def test_mean_path_penalty_matches_quadratic_cost(self):
         # at the mean drifted path the weight exponent is exactly
-        # (1/2) t^{a+4/3} v^2
+        # -(1/2) t^{a+4/3} v^2
         t, a, v = 16.0, 0.0, 0.37
         xi = t ** a
         rate = t ** (2.0 / 3.0) * v
         grid_n = 512
-        h = xi / grid_n
-        mean_inc = np.full(grid_n, rate * h)
-        logw = girsanov_log_weight(mean_inc, np.full(grid_n, rate), h)
+        [logw] = weighted_log_samples(lambda path: 0.0, np.full(grid_n, rate), xi / grid_n, 1,
+                                      _MeanPathRng(), 0)
         expected = -0.5 * t ** (a + 4.0 / 3.0) * v ** 2
         assert logw == pytest.approx(expected, rel=1e-10)
 
-    def test_levels_beyond_list_have_zero_drift(self):
-        spec = DriftedPathSpec(base_seed=9, drift_per_level=(0.5, 0.2), t=4.0, xi=1.0)
-        assert spec.drift_for_level(3) == 0.0
-        assert spec.rate_for_level(2) == pytest.approx(4.0 ** (2.0 / 3.0) * 0.2)
-        with pytest.raises(DomainError):
-            spec.drift_for_level(0)
+    def test_levels_beyond_list_have_zero_drift(self, monkeypatch):
+        # ldp_estimate drifts level window j = ((j-1) xi, j xi] at rate
+        # t^{2/3} v_j and leaves the cells past the last level undrifted
+        seen = []
+
+        def capture(log_statistic, rates, h, n_samples, rng, seed):
+            seen.append((rates, h))
+            return np.zeros(n_samples)
+
+        monkeypatch.setattr(sao, "weighted_log_samples", capture)
+        t, z = 4.0, -1.0
+        ldp_estimate(z, t, 2.0, n_samples=2, seed=9, grid_n=256, use_importance=True)
+        [(rates, h)] = seen
+        params = DiscretizationParams.from_deviation(z, t, 0.0)
+        drifts = optimal_drift_profile(z, 2.0, params)
+        mid = (np.arange(rates.size) + 0.5) * h
+        for j, v in enumerate(drifts, start=1):
+            window = (mid > (j - 1) * params.xi) & (mid <= j * params.xi)
+            assert window.any()
+            assert np.all(rates[window] == t ** (2.0 / 3.0) * v)
+        beyond = mid > params.n * params.xi
+        assert beyond.any()
+        assert np.all(rates[beyond] == 0.0)
 
 
 class TestSandwich:

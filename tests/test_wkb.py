@@ -103,6 +103,30 @@ class TestPeriodicPair:
             assert np.trace(rough) == pytest.approx(np.trace(flat), rel=1e-13)
 
 
+class TestReferenceAssembly:
+    def test_pair_bits(self):
+        # the dense periodic matrices written out by hand
+        prof = random_profile(spawn_rng(80, "reference-assembly"), grid_n=64)
+        h = prof.h
+        n = prof.grid_n
+        idx = np.arange(n)
+
+        def periodic(diag_potential):
+            m = np.zeros((n, n))
+            m[idx, idx] = 2.0 / h ** 2 + diag_potential
+            m[idx[:-1], idx[:-1] + 1] = -1.0 / h ** 2
+            m[idx[:-1] + 1, idx[:-1]] = -1.0 / h ** 2
+            m[0, n - 1] -= 1.0 / h ** 2
+            m[n - 1, 0] -= 1.0 / h ** 2
+            return m
+
+        rough, flat = periodic_hill_pair(prof)
+        assert np.array_equal(rough.eigenvalues,
+                              np.linalg.eigvalsh(periodic(np.diff(prof.samples) / h)))
+        assert np.array_equal(flat.eigenvalues,
+                              np.linalg.eigvalsh(periodic(np.full(n, prof.mean_slope))))
+
+
 class TestWkbInequality:
     def test_linear_profile_equality(self):
         prof = linear_profile(-1.8)
