@@ -2,20 +2,26 @@
 
 White noise enters as cell-averaged Brownian increments dW_i/h on the
 finite-difference diagonal; the Riccati counter consumes the same
-increments as piecewise-constant rates, so the two eigenvalue counts are
-coupled path by path.  CellOperator is the one assembly of that operator:
-Hill levels (V = j xi), the stochastic Airy operator (V = x) and the WKB
-comparison operators (V = 0, f the drift profile) all build on it.
+increments as piecewise-constant rates, so the matrix count and the
+Riccati count are coupled path by path (they agree while lambda h^2 is
+small; see riccati_cell_counts).  CellOperator is the one assembly of that
+operator: Hill levels (V = j xi), the stochastic Airy operator (V = x) and
+the WKB comparison operators (V = 0, f the drift profile) all build on it.
 
 Eigenvalues of the Dirichlet (tridiagonal) matrix come from LAPACK Sturm
 bisection (stebz); the periodic matrix carries two corner entries and is
 solved densely, which restricts periodic grids to <= 4096 cells.
+dirichlet_spectra solves a batch of paths on every usable CPU.
 """
 from __future__ import annotations
 
+import atexit
+import collections
 import enum
+import itertools
 import math
-from collections.abc import Callable
+import os
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,13 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .errors import ConfigurationError, DomainError, IncompleteSpectrumError
 
 _DENSE_MAX = 4096
+# a batch travels to the workers in groups of about this many matrix rows,
+# at most this many groups per worker in flight
+_GROUP_ROWS = 2 ** 14
+_GROUPS_PER_WORKER = 2
+# below this many cells drawing and assembling a path costs about as much
+# as solving it, and the pool is no faster than solving in place
+_POOL_MIN_CELLS = 2048
 _INF = math.inf
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -189,11 +202,125 @@ def hill_spectrum(config: HillConfig, path: NoisePath) -> SpectrumSample:
     return SpectrumSample(eigenvalues=ev, cap=config.lambda_cap)
 
 
+def _solve_group(task: tuple[np.ndarray, np.ndarray, float]) -> list[np.ndarray]:
+    """Eigenvalues <= cap of each row of diags with the shared off-diagonal."""
+    diags, off, cap = task
+    return [tridiagonal_eigenvalues(diag, off, cap) for diag in diags]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # (executor, workers), made by the first batch that needs it
+
+
+def _worker_pool():
+    """The process pool, created on first use and kept for later batches.
+
+    Workers are forked where the platform allows it, so they start at once
+    and see the modules as they were at that moment.
+    """
+    global _pool
+    if _pool is None:
+        import concurrent.futures  # deferred: importing airylab stays as fast
+        import multiprocessing
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        workers = _usable_cpus()
+        _pool = (concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context(method)), workers)
+        atexit.register(_close_pool)
+    return _pool
+
+
+def _close_pool() -> None:
+    """Shut the pool down while the interpreter is still whole."""
+    global _pool
+    if _pool is not None:
+        _pool[0].shutdown()
+        _pool = None
+
+
+def _in_order(tasks: Iterable) -> Iterator[list[np.ndarray]]:
+    """_solve_group over tasks on the pool, yielded in submission order.
+
+    At most _GROUPS_PER_WORKER tasks per worker are pending, so tasks are
+    drawn from the iterable only as fast as the workers take them.
+    """
+    global _pool
+    from concurrent.futures.process import BrokenProcessPool
+    executor, workers = _worker_pool()
+    pending = collections.deque()
+    try:
+        for task in tasks:
+            pending.append(executor.submit(_solve_group, task))
+            if len(pending) == _GROUPS_PER_WORKER * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    except BrokenProcessPool:
+        _pool = None  # a worker died; the next batch starts a new pool
+        raise
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _dirichlet_groups(config, paths: Iterator[NoisePath]):
+    """(diags, off, cap) for successive groups of up to _GROUP_ROWS rows.
+
+    Every path of one config has the same h, hence the same off-diagonal.
+    """
+    size = max(1, _GROUP_ROWS // config.grid_n)
+    while True:
+        diags = np.empty((size, config.grid_n - 1))
+        rows = 0
+        for path in itertools.islice(paths, size):
+            diags[rows], off = config.operator(path).dirichlet()
+            rows += 1
+        if rows == 0:
+            return
+        yield diags[:rows], off, config.lambda_cap
+
+
+def dirichlet_spectra(config, paths: Iterable[NoisePath]) -> Iterator[SpectrumSample]:
+    """Eigenvalues <= config.lambda_cap of config.operator(path).dirichlet(), per path.
+
+    config is a HillConfig with the Dirichlet boundary or a SaoConfig.  The
+    spectra are yielded in path order.  Paths are taken and assembled here,
+    a group of about _GROUP_ROWS rows at a time, and only as fast as the
+    solves consume them; the solves run on a process pool with one worker
+    per usable CPU.  Each solve is a pure function of its matrix, so the
+    spectra are the same, bit for bit, for any number of CPUs.  With one
+    usable CPU, a batch of one group or fewer than _POOL_MIN_CELLS cells the
+    solves run here.
+    """
+    if isinstance(config, HillConfig) and config.boundary is not Boundary.DIRICHLET:
+        raise DomainError("dirichlet_spectra requires the Dirichlet boundary")
+    tasks = _dirichlet_groups(config, iter(paths))
+    solved = map(_solve_group, tasks)
+    if config.grid_n >= _POOL_MIN_CELLS and _usable_cpus() > 1:
+        head = list(itertools.islice(tasks, 2))
+        if len(head) == 2:
+            solved = _in_order(itertools.chain(head, tasks))
+        else:
+            solved = map(_solve_group, head)
+    return (SpectrumSample(eigenvalues=ev, cap=config.lambda_cap)
+            for group in solved for ev in group)
+
+
 def riccati_cell_counts(q: np.ndarray, h: float) -> np.ndarray:
     """Explosions per cell of g' = q_i - g^2, g(0) = +inf, restart at +inf.
 
     Each cell has a constant coefficient, so the flow is advanced by the
     exact cot/tanh/coth solution; counting needs no blow-up thresholds.
+    The total counts the eigenvalues <= 0 of the continuum operator
+    -d^2/dx^2 + q on [0, q.size h] with Dirichlet walls and q constant on
+    each cell, not those of the finite-difference matrix: the two agree
+    only while |q| h^2 is small, and where it is large the count can exceed
+    the matrix order.
     Total on finite q and h > 0: raises DomainError only when a cell's
     count does not fit in int64.
     """
@@ -266,7 +393,13 @@ def riccati_cell_counts(q: np.ndarray, h: float) -> np.ndarray:
 
 
 def riccati_count_hill(lam: float, config: HillConfig, path: NoisePath) -> int:
-    """Number of Riccati explosions on (0, xi]; equals #{eigenvalues <= lam}."""
+    """Number of Riccati explosions on (0, xi] at level lam.
+
+    This is the count of eigenvalues <= lam of the continuum operator with
+    the cell-constant rates, which tracks the Dirichlet matrix count only
+    while lam h^2 is small: at xi = 1, grid_n = 16 and lam = 1e4 it is 31,
+    while the matrix has 15 rows.
+    """
     if config.boundary is not Boundary.DIRICHLET:
         raise DomainError("Riccati counting applies to the Dirichlet boundary")
     q = config.operator(path).riccati_rates() - lam

@@ -35,7 +35,10 @@ class McEstimate:
     """Mean, standard error and provenance of one Monte-Carlo expectation.
 
     log_mean/rel_stderr mirror the estimate in log space; they stay finite
-    even when the linear mean underflows the double range.
+    even when the linear mean underflows the double range.  ess (the Kish
+    effective sample size (sum w)^2 / sum w^2) and max_weight_share (the
+    largest w / sum w) describe the weights of a log-sample estimate; an
+    ess far below n_samples means a few samples carry the mean.
     """
 
     mean: float
@@ -44,6 +47,8 @@ class McEstimate:
     seed: int
     log_mean: float | None = None
     rel_stderr: float | None = None
+    ess: float | None = None
+    max_weight_share: float | None = None
 
     def within(self, other: "McEstimate | float", n_sigma: float = 3.0) -> bool:
         """True when the two values agree within n_sigma combined errors."""
@@ -86,8 +91,11 @@ def estimate_from_log_samples(log_values: np.ndarray, seed: int) -> McEstimate:
     log_mean = m + math.log(shifted_mean)
     rel_stderr = shifted_se / shifted_mean
     scale = math.exp(m)
+    total = float(shifted.sum())
     return McEstimate(mean=scale * shifted_mean, stderr=scale * shifted_se,
-                      n_samples=n, seed=seed, log_mean=log_mean, rel_stderr=rel_stderr)
+                      n_samples=n, seed=seed, log_mean=log_mean, rel_stderr=rel_stderr,
+                      ess=total * total / float(np.dot(shifted, shifted)),
+                      max_weight_share=1.0 / total)  # the largest shifted weight is 1
 
 
 def product_estimate(factors: list[McEstimate], seed: int) -> McEstimate:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnderflowDiagnostic
-from .hill import (CellOperator, HillConfig, NoisePath, SpectrumSample, hill_spectrum,
+from .hill import (CellOperator, HillConfig, NoisePath, SpectrumSample, dirichlet_spectra,
                    linear_statistic, riccati_cell_counts, tridiagonal_eigenvalues)
 from .mc import McEstimate, estimate_from_log_samples, product_estimate, spawn_rng
 from .variational import DiscretizationParams, DriftProblem, optimal_drift
@@ -75,22 +75,29 @@ def riccati_count_sao(lam: float, config: SaoConfig, path: NoisePath) -> int:
     return int(riccati_cell_counts(q, config.h).sum())
 
 
-def weighted_log_samples(log_statistic: Callable[[NoisePath], float], rates: np.ndarray,
-                         h: float, n_samples: int, rng: np.random.Generator,
-                         seed: int) -> np.ndarray:
-    """log_statistic(path) + log dP_0/dP_drift per path drawn with cell drift rates.
+def weighted_log_samples(config: HillConfig | SaoConfig,
+                         log_statistic: Callable[[SpectrumSample], float], rates: np.ndarray,
+                         n_samples: int, rng: np.random.Generator, seed: int) -> np.ndarray:
+    """log_statistic(spectrum) + log dP_0/dP_drift per path drawn with cell drift rates.
 
-    The weight -sum r_i dW_i + (1/2) sum r_i^2 h is exact for Gaussian
-    increments, so the mean of exp(value) is the undrifted expectation at
-    any resolution; zero rates give weight 0 and plain Monte Carlo.
+    Paths are drawn here in order and their Dirichlet spectra below
+    config.lambda_cap come from dirichlet_spectra.  The weight
+    -sum r_i dW_i + (1/2) sum r_i^2 h is exact for Gaussian increments, so
+    the mean of exp(value) is the undrifted expectation at any resolution;
+    zero rates give weight 0 and plain Monte Carlo.
     """
+    h = config.h
     half_r2h = 0.5 * float((rates ** 2).sum()) * h
-    log_vals = np.empty(n_samples)
-    for k in range(n_samples):
-        path = NoisePath.sample(rng, rates.size, h, drift_rate=rates, seed=seed)
-        logw = -float((rates * path.increments).sum()) + half_r2h
-        log_vals[k] = log_statistic(path) + logw
-    return log_vals
+    log_w = np.empty(n_samples)
+
+    def paths():  # each weight is taken as its path is drawn; no path is kept
+        for k in range(n_samples):
+            path = NoisePath.sample(rng, rates.size, h, drift_rate=rates, seed=seed)
+            log_w[k] = -float((rates * path.increments).sum()) + half_r2h
+            yield path
+
+    spectra = dirichlet_spectra(config, paths())
+    return np.fromiter(map(log_statistic, spectra), float, n_samples) + log_w
 
 
 def _hill_level_estimate(level_j: int, z: float, t: float, beta: float, xi: float,
@@ -99,8 +106,8 @@ def _hill_level_estimate(level_j: int, z: float, t: float, beta: float, xi: floa
     threshold = -z * t ** (2.0 / 3.0)
     config = HillConfig(j=level_j, xi=xi, beta=beta, grid_n=grid_n, lambda_cap=threshold)
     log_vals = weighted_log_samples(
-        lambda path: linear_statistic(hill_spectrum(config, path), z, t),
-        np.zeros(grid_n), config.h, n_samples, spawn_rng(seed, "sandwich-hill", level_j), seed)
+        config, lambda spectrum: linear_statistic(spectrum, z, t),
+        np.zeros(grid_n), n_samples, spawn_rng(seed, "sandwich-hill", level_j), seed)
     return estimate_from_log_samples(log_vals, seed)
 
 
@@ -112,8 +119,8 @@ def _sao_expectation(z: float, t: float, beta: float, n_samples: int, seed: int,
     config = SaoConfig(beta=beta, domain_l=domain_l, grid_n=grid_n,
                        lambda_cap=threshold - spectrum_shift)
     log_vals = weighted_log_samples(
-        lambda path: linear_statistic(sao_spectrum(config, path).shifted(spectrum_shift), z, t),
-        np.zeros(grid_n), config.h, n_samples, spawn_rng(seed, stream), seed)
+        config, lambda spectrum: linear_statistic(spectrum.shifted(spectrum_shift), z, t),
+        np.zeros(grid_n), n_samples, spawn_rng(seed, stream), seed)
     return estimate_from_log_samples(log_vals, seed)
 
 
@@ -186,8 +193,7 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
         inside = level_of_cell <= params.n
         rates[inside] = t ** (2.0 / 3.0) * np.asarray(drifts)[level_of_cell[inside] - 1]
     log_vals = weighted_log_samples(
-        lambda path: linear_statistic(sao_spectrum(config, path), z, t),
-        rates, config.h, n_samples, rng, seed)
+        config, lambda spectrum: linear_statistic(spectrum, z, t), rates, n_samples, rng, seed)
     if not use_importance and np.all(log_vals < -745.0):
         raise UnderflowDiagnostic(
             "every weighted sample underflows; enable importance sampling")
@@ -196,4 +202,5 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
         raise UnderflowDiagnostic("Monte-Carlo mean rounded to zero")
     return McEstimate(mean=est.log_mean / t ** 2,
                       stderr=est.rel_stderr / t ** 2,
-                      n_samples=n_samples, seed=seed)
+                      n_samples=n_samples, seed=seed,
+                      ess=est.ess, max_weight_share=est.max_weight_share)

@@ -1,0 +1,211 @@
+"""Batch spectrum solves: the same bits as serial loops, for any CPU count."""
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from airylab import hill, sao
+from airylab.fredholm import sample_sao2_spectra
+from airylab.hill import Boundary, HillConfig, NoisePath, dirichlet_spectra
+from airylab.mc import estimate_from_log_samples, spawn_rng
+from airylab.sao import (SaoConfig, ldp_estimate, optimal_drift_profile, sample_path,
+                         sandwich_check, sao_spectrum)
+from airylab.variational import DiscretizationParams
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+POOL_CELLS = hill._POOL_MIN_CELLS
+
+
+def _digests():
+    spec = importlib.util.spec_from_file_location("output_digests",
+                                                  ROOT / "scripts" / "output_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _serial(monkeypatch):
+    monkeypatch.setattr(hill, "_usable_cpus", lambda: 1)
+
+
+def _same_spectra(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.cap == b.cap
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+class TestSameBits:
+    def test_sample_sao2_spectra_matches_sao_spectrum_loop(self):
+        for grid_n in (2 ** 10, 2 ** 12):
+            cfg = SaoConfig(beta=2.0, domain_l=40.0, grid_n=grid_n, lambda_cap=36.0)
+            rng = spawn_rng(71, "laplace-mc")
+            expected = [sao_spectrum(cfg, sample_path(cfg, rng)) for _ in range(5)]
+            _same_spectra(sample_sao2_spectra(cfg, 5, 71), expected)
+
+    @pytest.mark.parametrize("base, offset", [("one", 0), ("group", -1), ("group", 0),
+                                              ("group", 1), ("in flight", 1)])
+    def test_batch_sizes_around_the_group_size(self, base, offset):
+        # one path, one below / at / above a group, one above the groups in flight
+        cfg = SaoConfig(beta=2.0, domain_l=20.0, grid_n=POOL_CELLS, lambda_cap=8.0)
+        group = hill._GROUP_ROWS // cfg.grid_n
+        in_flight = group * hill._GROUPS_PER_WORKER * max(2, hill._usable_cpus())
+        n = {"one": 1, "group": group, "in flight": in_flight}[base] + offset
+        rng = spawn_rng(72, "batch-sizes", n)
+        expected = [sao_spectrum(cfg, sample_path(cfg, rng)) for _ in range(n)]
+        rng = spawn_rng(72, "batch-sizes", n)
+        _same_spectra(list(dirichlet_spectra(cfg, (sample_path(cfg, rng) for _ in range(n)))),
+                      expected)
+
+    def test_hill_levels_and_paths_drawn_lazily(self):
+        cfg = HillConfig(j=2, xi=1.0, beta=1.0, grid_n=POOL_CELLS, lambda_cap=200.0)
+        n = 100
+        rng = spawn_rng(73, "hill-batch")
+        expected = [hill.hill_spectrum(cfg, NoisePath.sample(rng, cfg.grid_n, cfg.h))
+                    for _ in range(n)]
+        rng = spawn_rng(73, "hill-batch")
+        drawn = []
+
+        def paths():
+            for _ in range(n):
+                drawn.append(1)
+                yield NoisePath.sample(rng, cfg.grid_n, cfg.h)
+
+        batch = dirichlet_spectra(cfg, paths())
+        first = next(batch)
+        # a few groups per worker are drawn ahead, never the whole batch
+        assert len(drawn) < n
+        _same_spectra([first, *batch], expected)
+        assert len(drawn) == n and sum(s.eigenvalues.size for s in expected) > 0
+
+    def test_periodic_config_rejected(self):
+        cfg = HillConfig(j=0, xi=1.0, beta=2.0, grid_n=64, boundary=Boundary.PERIODIC)
+        with pytest.raises(hill.DomainError):
+            dirichlet_spectra(cfg, [NoisePath.zeros(64, 1.0 / 64)])
+
+    @pytest.mark.parametrize("use_importance", [False, True])
+    @pytest.mark.parametrize("grid_n, n_samples", [(256, 8), (POOL_CELLS, 40)])
+    def test_ldp_log_values_match_sao_spectrum_loop(self, use_importance, grid_n,
+                                                    n_samples, monkeypatch):
+        seen = []
+
+        def capture(log_vals, seed):
+            seen.append(log_vals.copy())
+            return estimate_from_log_samples(log_vals, seed)
+
+        monkeypatch.setattr(sao, "estimate_from_log_samples", capture)
+        z, t, beta, seed = -1.0, 4.0, 2.0, 74
+        ldp_estimate(z, t, beta, n_samples=n_samples, seed=seed, grid_n=grid_n,
+                     use_importance=use_importance)
+        threshold = -z * t ** (2.0 / 3.0)
+        params = DiscretizationParams.from_deviation(z, t, 0.0)
+        span = params.n * params.xi if use_importance else 0.0
+        cfg = SaoConfig(beta=beta, domain_l=max(threshold, span) + 8.0, grid_n=grid_n,
+                        lambda_cap=threshold)
+        rates = np.zeros(grid_n)
+        if use_importance:
+            level = np.floor((np.arange(grid_n) + 0.5) * cfg.h / params.xi).astype(int) + 1
+            inside = level <= params.n
+            drifts = np.asarray(optimal_drift_profile(z, beta, params))
+            rates[inside] = t ** (2.0 / 3.0) * drifts[level[inside] - 1]
+        rng = spawn_rng(seed, "ldp", "importance" if use_importance else "plain")
+        half_r2h = 0.5 * float((rates ** 2).sum()) * cfg.h
+        expected = np.empty(n_samples)
+        for k in range(n_samples):
+            path = NoisePath.sample(rng, grid_n, cfg.h, drift_rate=rates)
+            logw = -float((rates * path.increments).sum()) + half_r2h
+            expected[k] = hill.linear_statistic(sao_spectrum(cfg, path), z, t) + logw
+        assert np.array_equal(seen[0], expected)
+
+    def test_sandwich_estimates_independent_of_cpu_count(self, monkeypatch):
+        params = DiscretizationParams(t=1.0, a=0.0, n=2)
+
+        def run():
+            return sandwich_check(-1.0, 1.0, 2.0, params, 60, seed=75,
+                                  hill_grid_n=POOL_CELLS, sao_grid_n=POOL_CELLS)
+
+        pooled = run()
+        _serial(monkeypatch)
+        serial = run()
+        assert [(e.mean, e.stderr) for e in pooled] == [(e.mean, e.stderr) for e in serial]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker error is staged in a forked pool")
+def test_worker_error_reaches_the_caller_with_its_type():
+    # the patched solver raises; forked workers inherit the patch
+    code = """
+import airylab.hill as hill
+from airylab.errors import DomainError
+from airylab.fredholm import sample_sao2_spectra
+from airylab.sao import SaoConfig
+
+def broken(diag, off, cap):
+    raise DomainError("raised by the solver")
+
+hill.tridiagonal_eigenvalues = broken
+try:
+    sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 14, lambda_cap=5.0), 6, 1)
+except DomainError as exc:
+    print(type(exc).__name__, exc, hill._pool is not None)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    pooled = hill._usable_cpus() > 1
+    assert done.stdout.strip() == f"DomainError raised by the solver {pooled}", done.stderr
+
+
+@pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
+def test_pool_with_a_killed_worker_is_replaced():
+    code = """
+import os, signal
+import numpy as np
+import airylab.hill as hill
+from concurrent.futures.process import BrokenProcessPool
+from airylab.fredholm import sample_sao2_spectra
+from airylab.sao import SaoConfig
+
+cfg = SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12, lambda_cap=5.0)
+first = sample_sao2_spectra(cfg, 12, 1)
+executor, _ = hill._pool
+for pid in list(executor._processes):
+    os.kill(pid, signal.SIGKILL)
+try:
+    sample_sao2_spectra(cfg, 12, 1)
+except BrokenProcessPool:
+    print("broken", hill._pool is None)
+again = sample_sao2_spectra(cfg, 12, 1)
+print(all(np.array_equal(a.eigenvalues, b.eigenvalues) for a, b in zip(first, again)))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["broken", "True", "True"], done.stderr
+
+
+# digests of the Monte-Carlo commands before batch solving, from the table in CHANGES.md
+RECORDED = {
+    "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7": "fbe631c44a48490a",
+    "sao ldp --z -1 --t 16 --samples 400 --importance --seed 7": "c69f5b74c0fbf58c",
+    "sao sandwich --z -1 --t 1 --n-levels 2 --samples 400 --seed 7": "d07713d5cbbfe5f5",
+}
+
+
+@pytest.mark.parametrize("label", sorted(RECORDED))
+def test_monte_carlo_outputs_keep_their_digests(label):
+    assert _digests().label_digest(label) == RECORDED[label]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_fredholm_compare_on_one_cpu_prints_the_same_bytes():
+    cpu = min(os.sched_getaffinity(0))
+    code = (f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
+            "from airylab.cli import main; sys.exit(main(sys.argv[1:]))")
+    label = "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7"
+    digests = _digests()
+    assert digests.digest(["-c", code, *label.split()]) == RECORDED[label]

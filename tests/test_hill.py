@@ -106,6 +106,26 @@ class TestRiccatiCount:
         with pytest.raises(DomainError):
             riccati_count_hill(1.0, cfg, NoisePath.zeros(64, 1.0 / 64))
 
+    def test_count_exceeds_matrix_order_when_lambda_h2_is_large(self):
+        # the flow counts the continuum operator with cell-constant rates:
+        # at lambda h^2 ~ 39 it finds more eigenvalues than the matrix has rows
+        cfg = HillConfig(j=1, xi=1.0, beta=2.0, grid_n=16)
+        count = riccati_count_hill(1e4, cfg, NoisePath.zeros(16, 1.0 / 16))
+        assert count == 31 > cfg.grid_n - 1
+
+    def test_double_well_pair_moves_across_lambda_together(self):
+        # two equal wells give a near-degenerate pair that the matrix puts
+        # below the continuum pair, so the counts differ by 2 at max|q| h^2 = 0.002
+        n = 1000
+        h = 1.0 / n
+        mid = (np.arange(n) + 0.5) * h
+        q = np.where(((mid > 0.2) & (mid < 0.3)) | ((mid > 0.7) & (mid < 0.8)), -2000.0, 0.0)
+        ev = tridiagonal_eigenvalues(2.0 / h ** 2 + q[1:], np.full(n - 2, -1.0 / h ** 2), 0.0)
+        lam = ev[1] + 5e-4
+        sturm = int(np.searchsorted(ev, lam, side="right"))
+        assert ev[1] - ev[0] < 1e-4
+        assert (sturm, int(riccati_cell_counts(q - lam, h).sum())) == (2, 0)
+
     def test_matrix_count_monotone_in_lambda(self):
         rng = spawn_rng(12, "monotone")
         cfg = HillConfig(j=0, xi=1.0, beta=2.0, grid_n=1024, lambda_cap=400.0)

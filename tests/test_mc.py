@@ -63,6 +63,34 @@ class TestEstimates:
             estimate_from_log_samples(np.array([]), seed=5)
 
 
+class TestWeightHealth:
+    def test_kish_ess_and_largest_share(self):
+        w = np.array([1.0, 2.0, 3.0, 4.0])
+        est = estimate_from_log_samples(np.log(w), seed=6)
+        assert est.ess == pytest.approx(w.sum() ** 2 / (w ** 2).sum(), rel=1e-14)
+        assert est.max_weight_share == pytest.approx(4.0 / 10.0, rel=1e-14)
+
+    def test_invariant_under_a_common_shift(self):
+        logs = np.log([0.5, 1.0, 3.0, 0.01, 2.0])
+        est = estimate_from_log_samples(logs, seed=7)
+        deep = estimate_from_log_samples(logs - 800.0, seed=7)
+        assert deep.mean == 0.0
+        assert deep.ess == pytest.approx(est.ess, rel=1e-12)
+        assert deep.max_weight_share == pytest.approx(est.max_weight_share, rel=1e-12)
+
+    def test_ess_share_at_most_one(self):
+        rng = spawn_rng(8, "ess")
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            logs = scale * rng.standard_normal(200)
+            est = estimate_from_log_samples(logs, seed=8)
+            assert 0.0 < est.ess / est.n_samples <= 1.0 + 1e-12
+            assert 1.0 / est.n_samples - 1e-15 <= est.max_weight_share <= 1.0
+
+    def test_other_estimates_carry_none(self):
+        est = estimate_from_samples(np.array([1.0, 2.0]), seed=9)
+        assert est.ess is None and est.max_weight_share is None
+
+
 class TestProduct:
     def test_relative_errors_add_in_quadrature(self):
         a = McEstimate(mean=2.0, stderr=0.2, n_samples=100, seed=0)

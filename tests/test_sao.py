@@ -223,21 +223,30 @@ class _MeanPathRng:
 
 class TestGirsanov:
     def test_zero_drift_identity(self):
-        grid_ns = []
+        # zero rates give weight 0, and the statistic sees the spectra of
+        # 256-cell paths drawn from the stream in order
+        cfg = HillConfig(j=0, xi=1.0, beta=2.0, grid_n=256, lambda_cap=60.0)
+        seen = []
 
-        def statistic(path):
-            grid_ns.append(path.grid_n)
+        def statistic(spectrum):
+            seen.append(spectrum.eigenvalues)
             return 0.0
 
-        logs = weighted_log_samples(statistic, np.zeros(256), 1.0 / 256, 5,
+        logs = weighted_log_samples(cfg, statistic, np.zeros(256), 5,
                                     spawn_rng(7, "zero-drift"), 7)
         assert np.all(logs == 0.0)
-        assert grid_ns == [256] * 5
+        rng = spawn_rng(7, "zero-drift")
+        expected = [hill_spectrum(cfg, NoisePath.sample(rng, 256, cfg.h)).eigenvalues
+                    for _ in range(5)]
+        assert len(seen) == 5 and all(ev.size for ev in seen)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
 
     def test_weight_mean_one_under_drifted_law(self):
         rate = 4.0 ** (2.0 / 3.0) * 0.4
         n = 10 ** 5
-        logs = weighted_log_samples(lambda path: 0.0, np.full(64, rate), 1.0 / 64, n,
+        # a cap below every spectrum keeps the solves trivial
+        cfg = HillConfig(j=0, xi=1.0, beta=2.0, grid_n=64, lambda_cap=-1e3)
+        logs = weighted_log_samples(cfg, lambda spectrum: 0.0, np.full(64, rate), n,
                                     spawn_rng(8, "weight-mean"), 8)
         est = estimate_from_samples(np.exp(logs), 8)
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
@@ -249,7 +258,8 @@ class TestGirsanov:
         xi = t ** a
         rate = t ** (2.0 / 3.0) * v
         grid_n = 512
-        [logw] = weighted_log_samples(lambda path: 0.0, np.full(grid_n, rate), xi / grid_n, 1,
+        cfg = HillConfig(j=0, xi=xi, beta=2.0, grid_n=grid_n, lambda_cap=0.0)
+        [logw] = weighted_log_samples(cfg, lambda spectrum: 0.0, np.full(grid_n, rate), 1,
                                       _MeanPathRng(), 0)
         expected = -0.5 * t ** (a + 4.0 / 3.0) * v ** 2
         assert logw == pytest.approx(expected, rel=1e-10)
@@ -259,8 +269,8 @@ class TestGirsanov:
         # t^{2/3} v_j and leaves the cells past the last level undrifted
         seen = []
 
-        def capture(log_statistic, rates, h, n_samples, rng, seed):
-            seen.append((rates, h))
+        def capture(config, log_statistic, rates, n_samples, rng, seed):
+            seen.append((rates, config.h))
             return np.zeros(n_samples)
 
         monkeypatch.setattr(sao, "weighted_log_samples", capture)
@@ -319,6 +329,14 @@ class TestSandwich:
 
 
 class TestLdpEstimate:
+    def test_weight_health_shows_plain_collapse(self):
+        plain = ldp_estimate(-1.0, 16.0, 2.0, n_samples=200, seed=7)
+        tilted = ldp_estimate(-1.0, 16.0, 2.0, n_samples=200, seed=7, use_importance=True)
+        for est in (plain, tilted):
+            assert 1.0 <= est.ess <= est.n_samples
+            assert 0.0 < est.max_weight_share <= 1.0
+        assert plain.ess / plain.n_samples < tilted.ess / tilted.n_samples
+
     def test_shallow_deviation_shrinks_toward_zero(self):
         # at fixed t the z -> 0 limit is log E[exp(-t^{1/3} sum lambda_-)],
         # a small negative number (the spectrum keeps ~3% mass below 0);
