@@ -10,35 +10,24 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import acceptance
+from .acceptance import SCHEMA_VERSION
 from .errors import ConfigurationError, DomainError, ResolutionError
 from .fredholm import KernelParams, determinant_vs_point_process, fredholm_det, kernel_grid
 from .hill import Boundary, HillConfig, NoisePath, hill_spectrum, riccati_count_hill
 from .mc import spawn_rng
 from .rate import phi_minus, phi_minus_scaled
-from .sao import (SaoConfig, ldp_estimate, riccati_count_sao, sample_path,
-                  sandwich_check, sao_spectrum)
+from .sao import SaoConfig, ldp_estimate, sandwich_check
 from .variational import DiscretizationParams, riemann_sum_value, variational_report
 from .wkb import wkb_trials
-
-SCHEMA_VERSION = 1
 
 _EXIT_OK = 0
 _EXIT_DOMAIN = 1
 _EXIT_RESOLUTION = 2
 _EXIT_USAGE = 64
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
-    seed: int = 0
-    out_path: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,165 +57,121 @@ def _csv_dump(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out_path:
-        with open(config.out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _header(args: argparse.Namespace) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "seed": args.seed}
 
 
-def _cmd_rate_fn(config: RunConfig) -> tuple[int, str]:
-    p = config.params
-    zs = np.linspace(p["z_min"], p["z_max"], p["steps"])
-    rows = [[float(z) + 0.0, phi_minus(float(z)), phi_minus_scaled(p["beta"], float(z))]
+def _cmd_rate_fn(args: argparse.Namespace) -> tuple[int, str]:
+    zs = np.linspace(args.z_min, args.z_max, args.steps)
+    rows = [[float(z) + 0.0, phi_minus(float(z)), phi_minus_scaled(args.beta, float(z))]
             for z in zs]  # + 0.0 normalizes the signed zero at the endpoint
     return _EXIT_OK, _csv_dump(["z", "phi", "phi_scaled"], rows)
 
 
-def _cmd_variational(config: RunConfig) -> tuple[int, str]:
-    p = config.params
-    report = variational_report(p["z"], p["beta"])
-    payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed, **report}
-    if p.get("t") is not None:
-        params = DiscretizationParams.from_deviation(p["z"], p["t"], p.get("a", 0.0))
-        payload["riemann_sum"] = riemann_sum_value(p["z"], p["beta"], params)
+def _cmd_variational(args: argparse.Namespace) -> tuple[int, str]:
+    payload = {**_header(args), **variational_report(args.z, args.beta)}
+    if args.t is not None:
+        params = DiscretizationParams.from_deviation(args.z, args.t, args.a)
+        payload["riemann_sum"] = riemann_sum_value(args.z, args.beta, params)
         payload["n_levels"] = params.n
     return _EXIT_OK, _json_dump(payload)
 
 
-def _cmd_hill(config: RunConfig) -> tuple[int, str]:
-    p = config.params
-    boundary = Boundary(p["boundary"])
-    cfg = HillConfig(j=p["j"], xi=p["xi"], beta=p["beta"], boundary=boundary,
-                     grid_n=p["grid_n"], lambda_cap=p["lambda_cap"])
-    rng = spawn_rng(config.seed, "hill")
-    path = NoisePath.sample(rng, cfg.grid_n, cfg.h, seed=config.seed)
-    if p.get("lam") is not None:
-        count = riccati_count_hill(p["lam"], cfg, path)
-        payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
-                   "lambda": p["lam"], "riccati_count": count}
-        return _EXIT_OK, _json_dump(payload)
-    spec = hill_spectrum(cfg, path)
-    rows = [[i, float(ev)] for i, ev in enumerate(spec.eigenvalues, start=1)]
-    return _EXIT_OK, _csv_dump(["index", "eigenvalue"], rows)
-
-
-def _cmd_sao(config: RunConfig) -> tuple[int, str]:
-    p = config.params
-    sub = p["subcommand"]
-    if sub == "spectrum":
-        cfg = SaoConfig(beta=p["beta"], domain_l=p["domain_l"], grid_n=p["grid_n"],
-                        lambda_cap=p["lambda_cap"])
-        path = sample_path(cfg, spawn_rng(config.seed, "sao-spectrum"))
-        spec = sao_spectrum(cfg, path)
-        rows = [[i, float(ev)] for i, ev in enumerate(spec.eigenvalues, start=1)]
+def _spectrum_or_count(args: argparse.Namespace, config: HillConfig | SaoConfig,
+                       stream: str, lam: float | None) -> tuple[int, str]:
+    """Spectrum CSV of one path from the stream, or with lam its Riccati count JSON."""
+    path = NoisePath.sample(spawn_rng(args.seed, stream), config.grid_n, config.h)
+    if lam is None:
+        spectrum = hill_spectrum(config, path)
+        rows = [[i, float(ev)] for i, ev in enumerate(spectrum.eigenvalues, start=1)]
         return _EXIT_OK, _csv_dump(["index", "eigenvalue"], rows)
-    if sub == "count":
-        cfg = SaoConfig(beta=p["beta"], domain_l=p["domain_l"], grid_n=p["grid_n"],
-                        lambda_cap=p["lambda_cap"])
-        path = sample_path(cfg, spawn_rng(config.seed, "sao-count"))
-        payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
-                   "lambda": p["lam"],
-                   "riccati_count": riccati_count_sao(p["lam"], cfg, path)}
-        return _EXIT_OK, _json_dump(payload)
+    payload = {**_header(args), "lambda": lam,
+               "riccati_count": riccati_count_hill(lam, config, path)}
+    return _EXIT_OK, _json_dump(payload)
+
+
+def _cmd_hill(args: argparse.Namespace) -> tuple[int, str]:
+    config = HillConfig(j=args.j, xi=args.xi, beta=args.beta, boundary=Boundary(args.boundary),
+                        grid_n=args.grid_n, lambda_cap=args.lambda_cap)
+    return _spectrum_or_count(args, config, "hill", args.lam)
+
+
+def _cmd_sao(args: argparse.Namespace) -> tuple[int, str]:
+    sub = args.subcommand
+    if sub in ("spectrum", "count"):
+        config = SaoConfig(beta=args.beta, domain_l=args.domain_l, grid_n=args.grid_n,
+                           lambda_cap=args.lambda_cap)
+        lam = args.lam if sub == "count" else None
+        return _spectrum_or_count(args, config, f"sao-{sub}", lam)
     if sub == "sandwich":
-        params = DiscretizationParams(t=p["t"], a=p["a"], n=p["n_levels"]) \
-            if p.get("n_levels") else DiscretizationParams.from_deviation(p["z"], p["t"], p["a"])
-        lower, middle, upper = sandwich_check(p["z"], p["t"], p["beta"], params,
-                                              p["samples"], seed=config.seed)
-        payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
-                   "n_levels": params.n}
+        params = DiscretizationParams(t=args.t, a=args.a, n=args.n_levels) if args.n_levels \
+            else DiscretizationParams.from_deviation(args.z, args.t, args.a)
+        lower, middle, upper = sandwich_check(args.z, args.t, args.beta, params,
+                                              args.samples, seed=args.seed)
+        payload = {**_header(args), "n_levels": params.n}
         for name, est in [("lower", lower), ("middle", middle), ("upper", upper)]:
             payload[name] = {"mean": est.mean, "stderr": est.stderr,
                              "samples": est.n_samples, "seed": int(est.seed)}
         return _EXIT_OK, _json_dump(payload)
-    if sub == "ldp":
-        est = ldp_estimate(p["z"], p["t"], p["beta"], a=p["a"], n_samples=p["samples"],
-                           seed=config.seed, grid_n=p["grid_n"],
-                           use_importance=p["importance"])
-        payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
-                   "mean": est.mean, "stderr": est.stderr, "samples": est.n_samples,
-                   "target": -phi_minus_scaled(p["beta"], p["z"]),
-                   "importance": p["importance"]}
-        return _EXIT_OK, _json_dump(payload)
-    raise DomainError(f"unknown sao subcommand {sub!r}")
+    est = ldp_estimate(args.z, args.t, args.beta, a=args.a, n_samples=args.samples,
+                       seed=args.seed, grid_n=args.grid_n, use_importance=args.importance)
+    payload = {**_header(args), "mean": est.mean, "stderr": est.stderr,
+               "samples": est.n_samples, "target": -phi_minus_scaled(args.beta, args.z),
+               "importance": args.importance}
+    return _EXIT_OK, _json_dump(payload)
 
 
-def _cmd_fredholm(config: RunConfig) -> tuple[int, str]:
-    p = config.params
-    payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed, "s": p["s"], "t": p["t"]}
-    if p.get("compare"):
-        cfg = SaoConfig(beta=2.0, domain_l=p["domain_l"], grid_n=p["sao_grid_n"],
-                        lambda_cap=p["lambda_cap"])
+def _cmd_fredholm(args: argparse.Namespace) -> tuple[int, str]:
+    payload = {**_header(args), "s": args.s, "t": args.t}
+    if args.compare:
+        cfg = SaoConfig(beta=2.0, domain_l=args.domain_l, grid_n=args.sao_grid_n,
+                        lambda_cap=args.lambda_cap)
         [(det, est, sigma)] = determinant_vs_point_process(
-            [(p["s"], p["t"], p["factor_tol"])], cfg, p["samples"], config.seed,
-            n_nodes=p["grid_nodes"], x_max=p["x_max"])
+            [(args.s, args.t, args.factor_tol)], cfg, args.samples, args.seed,
+            n_nodes=args.grid_nodes, x_max=args.x_max)
         payload.update({"mc_mean": est.mean, "mc_stderr": est.stderr,
                         "mc_samples": est.n_samples, "sigma_distance": sigma})
     else:
-        params = KernelParams(s=p["s"], t=p["t"])
-        det = fredholm_det(params, kernel_grid(params, n_nodes=p["grid_nodes"], x_max=p["x_max"]))
+        params = KernelParams(s=args.s, t=args.t)
+        det = fredholm_det(params, kernel_grid(params, n_nodes=args.grid_nodes, x_max=args.x_max))
     payload.update({"det": det, "log_det": math.log(det)})
     return _EXIT_OK, _json_dump(payload)
 
 
-def _cmd_wkb(config: RunConfig) -> tuple[int, str]:
-    p = config.params
-    violations, max_gap = wkb_trials(spawn_rng(config.seed, "wkb"), p["trials"], p["grid_n"])
-    payload = {"schema_version": SCHEMA_VERSION, "seed": config.seed,
-               "trials": p["trials"], "violations": violations, "max_gap": max_gap}
+def _cmd_wkb(args: argparse.Namespace) -> tuple[int, str]:
+    violations, max_gap = wkb_trials(spawn_rng(args.seed, "wkb"), args.trials, args.grid_n)
+    payload = {**_header(args), "trials": args.trials, "violations": violations,
+               "max_gap": max_gap}
     return _EXIT_OK, _json_dump(payload)
 
 
-def _cmd_report(config: RunConfig) -> tuple[int, str]:
-    p = config.params
-    report = acceptance.run_report(seed=config.seed, skip=p.get("skip") or (),
-                                   fast=p.get("fast", False))
-    code = _EXIT_OK if report["all_passed"] else _EXIT_RESOLUTION
-    return code, _json_dump(report)
-
-
-_DISPATCH = {
-    "rate-fn": _cmd_rate_fn,
-    "variational": _cmd_variational,
-    "hill": _cmd_hill,
-    "sao": _cmd_sao,
-    "fredholm": _cmd_fredholm,
-    "wkb": _cmd_wkb,
-    "report": _cmd_report,
-}
-
-
-def run(config: RunConfig) -> tuple[int, str]:
-    """Dispatch a RunConfig; returns (exit code, serialized report)."""
-    handler = _DISPATCH.get(config.command)
-    if handler is None:
-        raise DomainError(f"unknown command {config.command!r}")
-    return handler(config)
+def _cmd_report(args: argparse.Namespace) -> tuple[int, str]:
+    report = acceptance.run_report(seed=args.seed, skip=args.skip or (), fast=args.fast)
+    return _EXIT_OK if report["all_passed"] else _EXIT_RESOLUTION, _json_dump(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="airylab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def add_common(sp, handler, seed=0):
+        sp.add_argument("--seed", type=int, default=seed)
         sp.add_argument("--out", dest="out_path", default=None)
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("rate-fn", help="rate function sweep (CSV)")
     sp.add_argument("--z-min", type=float, required=True)
     sp.add_argument("--z-max", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--beta", type=float, default=2.0)
-    add_common(sp)
+    add_common(sp, _cmd_rate_fn)
 
     sp = sub.add_parser("variational", help="drift variational identity (JSON)")
     sp.add_argument("--z", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--a", type=float, default=0.0)
-    add_common(sp)
+    add_common(sp, _cmd_variational)
 
     sp = sub.add_parser("hill", help="Hill spectrum (CSV) or Riccati count (JSON)")
     sp.add_argument("--j", type=int, default=0)
@@ -236,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-n", type=int, default=1024)
     sp.add_argument("--lambda-cap", type=float, default=200.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    add_common(sp)
+    add_common(sp, _cmd_hill)
 
     sp = sub.add_parser("sao", help="stochastic Airy operator experiments")
     sp.add_argument("subcommand", choices=["spectrum", "count", "sandwich", "ldp"])
@@ -251,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--n-levels", type=int, default=None)
     sp.add_argument("--importance", action="store_true")
-    add_common(sp)
+    add_common(sp, _cmd_sao)
 
     sp = sub.add_parser("fredholm", help="Fredholm determinant, optional MC cross-check")
     sp.add_argument("compare", nargs="?", choices=["compare"], default=None)
@@ -265,38 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--domain-l", type=float, default=40.0)
     sp.add_argument("--lambda-cap", type=float, default=36.0)
     sp.add_argument("--factor-tol", type=float, default=1e-12)
-    add_common(sp)
+    add_common(sp, _cmd_fredholm)
 
     sp = sub.add_parser("wkb", help="randomized WKB inequality report (JSON)")
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--grid-n", type=int, default=512)
-    add_common(sp)
+    add_common(sp, _cmd_wkb)
 
     sp = sub.add_parser("report", help="run the acceptance suite")
     sp.add_argument("--skip", action="append", default=None,
                     help="skip a criterion group (e.g. 'mc')")
     sp.add_argument("--fast", action="store_true",
                     help="reduced sample counts for a quick look")
-    sp.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    sp.add_argument("--out", dest="out_path", default=None)
+    add_common(sp, _cmd_report, seed=acceptance.DEFAULT_SEED)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items()
-              if k not in {"command", "seed", "out_path"}}
-    if args.command == "fredholm":
-        params["compare"] = params.get("compare") == "compare"
-    return RunConfig(command=args.command, params=params,
-                     seed=args.seed, out_path=args.out_path)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        code, text = run(config)
+        code, text = args.handler(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
@@ -306,7 +239,11 @@ def main(argv: list[str] | None = None) -> int:
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return _EXIT_RESOLUTION
-    _emit(config, text)
+    if args.out_path:
+        with open(args.out_path, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return code
 
 

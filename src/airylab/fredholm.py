@@ -21,10 +21,10 @@ import numpy as np
 
 from .airy import ai_values
 from .errors import DomainError, IncompleteSpectrumError, ResolutionError
-from .hill import SpectrumSample, dirichlet_spectra
+from .hill import NoisePath, SpectrumSample, dirichlet_spectra
 from .mc import McEstimate, estimate_from_samples, spawn_rng
 # perfbench/bench_trace.py wraps the binding fredholm.sao_spectrum
-from .sao import SaoConfig, sample_path, sao_spectrum  # noqa: F401
+from .sao import SaoConfig, sao_spectrum  # noqa: F401
 
 _R_CUT = 40.0
 _X_MAX_DEFAULT = 16.0
@@ -203,7 +203,8 @@ def airy_product_estimate(spectra: list[SpectrumSample], params: KernelParams,
 def sample_sao2_spectra(config: SaoConfig, n_samples: int, seed: int) -> list[SpectrumSample]:
     """n_samples spectra of independent paths from the "laplace-mc" stream."""
     rng = spawn_rng(seed, "laplace-mc")
-    return list(dirichlet_spectra(config, (sample_path(config, rng) for _ in range(n_samples))))
+    paths = (NoisePath.sample(rng, config.grid_n, config.h) for _ in range(n_samples))
+    return list(dirichlet_spectra(config, paths))
 
 
 def determinant_vs_point_process(cases: list[tuple[float, float, float]],

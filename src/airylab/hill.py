@@ -61,10 +61,10 @@ class NoisePath:
 
     @classmethod
     def sample(cls, rng: np.random.Generator, grid_n: int, step: float,
-               drift_rate: float | np.ndarray = 0.0, seed: int = -1) -> "NoisePath":
+               drift_rate: float | np.ndarray = 0.0) -> "NoisePath":
         """Draw the increments; drift_rate is one rate or one per cell."""
         inc = rng.standard_normal(grid_n) * math.sqrt(step) + drift_rate * step
-        return cls(step=step, increments=inc, seed=seed)
+        return cls(step=step, increments=inc, seed=-1)
 
     @classmethod
     def zeros(cls, grid_n: int, step: float) -> "NoisePath":
@@ -191,8 +191,11 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, cap: float) -> np
                                 check_finite=False, lapack_driver="stebz")
 
 
-def hill_spectrum(config: HillConfig, path: NoisePath) -> SpectrumSample:
-    """Eigenvalues <= lambda_cap under the configured boundary condition."""
+def hill_spectrum(config, path: NoisePath) -> SpectrumSample:
+    """Eigenvalues <= lambda_cap under the configured boundary condition.
+
+    config is a HillConfig or a SaoConfig (whose boundary is Dirichlet).
+    """
     op = config.operator(path)
     if config.boundary is Boundary.DIRICHLET:
         ev = tridiagonal_eigenvalues(*op.dirichlet(), config.lambda_cap)
@@ -297,7 +300,7 @@ def dirichlet_spectra(config, paths: Iterable[NoisePath]) -> Iterator[SpectrumSa
     usable CPU, a batch of one group or fewer than _POOL_MIN_CELLS cells the
     solves run here.
     """
-    if isinstance(config, HillConfig) and config.boundary is not Boundary.DIRICHLET:
+    if config.boundary is not Boundary.DIRICHLET:
         raise DomainError("dirichlet_spectra requires the Dirichlet boundary")
     tasks = _dirichlet_groups(config, iter(paths))
     solved = map(_solve_group, tasks)
@@ -392,13 +395,14 @@ def riccati_cell_counts(q: np.ndarray, h: float) -> np.ndarray:
     return counts
 
 
-def riccati_count_hill(lam: float, config: HillConfig, path: NoisePath) -> int:
-    """Number of Riccati explosions on (0, xi] at level lam.
+def riccati_count_hill(lam: float, config, path: NoisePath) -> int:
+    """Number of Riccati explosions on the domain of config at level lam.
 
+    config is a HillConfig or a SaoConfig (whose boundary is Dirichlet).
     This is the count of eigenvalues <= lam of the continuum operator with
     the cell-constant rates, which tracks the Dirichlet matrix count only
-    while lam h^2 is small: at xi = 1, grid_n = 16 and lam = 1e4 it is 31,
-    while the matrix has 15 rows.
+    while lam h^2 is small: for the Hill operator at xi = 1, grid_n = 16 and
+    lam = 1e4 it is 31, while the matrix has 15 rows.
     """
     if config.boundary is not Boundary.DIRICHLET:
         raise DomainError("Riccati counting applies to the Dirichlet boundary")

@@ -50,16 +50,6 @@ class McEstimate:
     ess: float | None = None
     max_weight_share: float | None = None
 
-    def within(self, other: "McEstimate | float", n_sigma: float = 3.0) -> bool:
-        """True when the two values agree within n_sigma combined errors."""
-        if isinstance(other, McEstimate):
-            gap = abs(self.mean - other.mean)
-            band = n_sigma * math.hypot(self.stderr, other.stderr)
-        else:
-            gap = abs(self.mean - float(other))
-            band = n_sigma * self.stderr
-        return gap <= band
-
 
 def estimate_from_samples(values: np.ndarray, seed: int) -> McEstimate:
     values = np.asarray(values, dtype=float)

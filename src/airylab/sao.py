@@ -15,12 +15,16 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnderflowDiagnostic
-from .hill import (CellOperator, HillConfig, NoisePath, SpectrumSample, dirichlet_spectra,
-                   linear_statistic, riccati_cell_counts, tridiagonal_eigenvalues)
+from .hill import (Boundary, CellOperator, HillConfig, NoisePath, SpectrumSample,
+                   dirichlet_spectra, hill_spectrum, linear_statistic, riccati_count_hill)
+# perfbench/bench_trace.py wraps the bindings sao.riccati_cell_counts and
+# sao.tridiagonal_eigenvalues
+from .hill import riccati_cell_counts, tridiagonal_eigenvalues  # noqa: F401
 from .mc import McEstimate, estimate_from_log_samples, product_estimate, spawn_rng
 from .variational import DiscretizationParams, DriftProblem, optimal_drift
 
@@ -29,8 +33,9 @@ _DOMAIN_MARGIN_MIN = 4.0
 
 @dataclass(frozen=True)
 class SaoConfig:
-    """Truncated operator on [0, domain_l] with grid_n cells."""
+    """Truncated operator on [0, domain_l] with grid_n cells, Dirichlet walls."""
 
+    boundary: ClassVar[Boundary] = Boundary.DIRICHLET
     beta: float
     domain_l: float
     grid_n: int
@@ -60,24 +65,14 @@ class SaoConfig:
         return CellOperator.on_path(lambda x: x, self.beta, self.domain_l, self.grid_n, path)
 
 
-def sample_path(config: SaoConfig, rng: np.random.Generator) -> NoisePath:
-    return NoisePath.sample(rng, config.grid_n, config.h)
-
-
-def sao_spectrum(config: SaoConfig, path: NoisePath) -> SpectrumSample:
-    """Eigenvalues <= lambda_cap, Dirichlet walls at 0 and domain_l."""
-    ev = tridiagonal_eigenvalues(*config.operator(path).dirichlet(), config.lambda_cap)
-    return SpectrumSample(eigenvalues=ev, cap=config.lambda_cap)
-
-
-def riccati_count_sao(lam: float, config: SaoConfig, path: NoisePath) -> int:
-    q = config.operator(path).riccati_rates() - lam
-    return int(riccati_cell_counts(q, config.h).sum())
+# the shared routines under their SAO names, which perfbench and the tests call
+sao_spectrum = hill_spectrum
+riccati_count_sao = riccati_count_hill
 
 
 def weighted_log_samples(config: HillConfig | SaoConfig,
                          log_statistic: Callable[[SpectrumSample], float], rates: np.ndarray,
-                         n_samples: int, rng: np.random.Generator, seed: int) -> np.ndarray:
+                         n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """log_statistic(spectrum) + log dP_0/dP_drift per path drawn with cell drift rates.
 
     Paths are drawn here in order and their Dirichlet spectra below
@@ -92,7 +87,7 @@ def weighted_log_samples(config: HillConfig | SaoConfig,
 
     def paths():  # each weight is taken as its path is drawn; no path is kept
         for k in range(n_samples):
-            path = NoisePath.sample(rng, rates.size, h, drift_rate=rates, seed=seed)
+            path = NoisePath.sample(rng, rates.size, h, drift_rate=rates)
             log_w[k] = -float((rates * path.increments).sum()) + half_r2h
             yield path
 
@@ -100,27 +95,12 @@ def weighted_log_samples(config: HillConfig | SaoConfig,
     return np.fromiter(map(log_statistic, spectra), float, n_samples) + log_w
 
 
-def _hill_level_estimate(level_j: int, z: float, t: float, beta: float, xi: float,
-                         n_samples: int, seed: int, grid_n: int) -> McEstimate:
-    """E[exp(linear statistic)] of Hill level j."""
-    threshold = -z * t ** (2.0 / 3.0)
-    config = HillConfig(j=level_j, xi=xi, beta=beta, grid_n=grid_n, lambda_cap=threshold)
+def _plain_expectation(config: HillConfig | SaoConfig, z: float, t: float, n_samples: int,
+                       rng: np.random.Generator, seed: int, shift: float = 0.0) -> McEstimate:
+    """Plain Monte-Carlo E[exp(linear statistic)], the spectrum shifted by shift."""
     log_vals = weighted_log_samples(
-        config, lambda spectrum: linear_statistic(spectrum, z, t),
-        np.zeros(grid_n), n_samples, spawn_rng(seed, "sandwich-hill", level_j), seed)
-    return estimate_from_log_samples(log_vals, seed)
-
-
-def _sao_expectation(z: float, t: float, beta: float, n_samples: int, seed: int,
-                     grid_n: int, domain_l: float, stream: str,
-                     spectrum_shift: float = 0.0) -> McEstimate:
-    """E[exp(linear statistic)] over SAO samples, spectrum shifted if asked."""
-    threshold = -z * t ** (2.0 / 3.0)
-    config = SaoConfig(beta=beta, domain_l=domain_l, grid_n=grid_n,
-                       lambda_cap=threshold - spectrum_shift)
-    log_vals = weighted_log_samples(
-        config, lambda spectrum: linear_statistic(spectrum.shifted(spectrum_shift), z, t),
-        np.zeros(grid_n), n_samples, spawn_rng(seed, stream), seed)
+        config, lambda spectrum: linear_statistic(spectrum.shifted(shift), z, t),
+        np.zeros(config.grid_n), n_samples, rng)
     return estimate_from_log_samples(log_vals, seed)
 
 
@@ -141,18 +121,21 @@ def sandwich_check(z: float, t: float, beta: float, params: DiscretizationParams
     threshold = -z * t ** (2.0 / 3.0)
     if sao_domain_l is None:
         sao_domain_l = max(threshold, 0.0) + 10.0
-    hill_est = {
-        j: _hill_level_estimate(j, z, t, beta, xi, n_samples, seed, hill_grid_n)
+    hill_est = [
+        _plain_expectation(HillConfig(j=j, xi=xi, beta=beta, grid_n=hill_grid_n,
+                                      lambda_cap=threshold),
+                           z, t, n_samples, spawn_rng(seed, "sandwich-hill", j), seed)
         for j in range(0, n + 1)
-    }
-    middle = _sao_expectation(z, t, beta, n_samples, seed,
-                              sao_grid_n, sao_domain_l, "sandwich-middle")
-    shifted = _sao_expectation(z, t, beta, n_samples, seed,
-                               sao_grid_n, sao_domain_l, "sandwich-shifted",
-                               spectrum_shift=n * xi)
+    ]
+    middle, shifted = [
+        _plain_expectation(SaoConfig(beta=beta, domain_l=sao_domain_l, grid_n=sao_grid_n,
+                                     lambda_cap=threshold - shift),
+                           z, t, n_samples, spawn_rng(seed, stream), seed, shift)
+        for stream, shift in [("sandwich-middle", 0.0), ("sandwich-shifted", n * xi)]
+    ]
     decay = McEstimate(mean=math.exp(-n), stderr=0.0, n_samples=n_samples, seed=seed)
-    lower = product_estimate([hill_est[j] for j in range(0, n)] + [decay, shifted], seed)
-    upper = product_estimate([hill_est[j] for j in range(1, n + 1)], seed)
+    lower = product_estimate(hill_est[:n] + [decay, shifted], seed)
+    upper = product_estimate(hill_est[1:], seed)
     return lower, middle, upper
 
 
@@ -193,7 +176,7 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
         inside = level_of_cell <= params.n
         rates[inside] = t ** (2.0 / 3.0) * np.asarray(drifts)[level_of_cell[inside] - 1]
     log_vals = weighted_log_samples(
-        config, lambda spectrum: linear_statistic(spectrum, z, t), rates, n_samples, rng, seed)
+        config, lambda spectrum: linear_statistic(spectrum, z, t), rates, n_samples, rng)
     if not use_importance and np.all(log_vals < -745.0):
         raise UnderflowDiagnostic(
             "every weighted sample underflows; enable importance sampling")

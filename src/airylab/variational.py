@@ -13,7 +13,7 @@ riemann_sum_value realizes the discrete-level approximation of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class DiscretizationParams:
     t: float
     a: float
     n: int
-    xi: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.t > 0.0:
@@ -57,11 +56,6 @@ class DiscretizationParams:
             raise DomainError("mesoscale exponent a must lie strictly in (-1/3, 2/3)")
         if self.n < 0:
             raise DomainError("n must be a natural number")
-        xi_exact = self.t ** self.a
-        if self.xi is None:
-            object.__setattr__(self, "xi", xi_exact)
-        elif abs(self.xi - xi_exact) > 1e-12 * xi_exact:
-            raise DomainError("xi must equal t^a to relative precision 1e-12")
 
     @classmethod
     def from_deviation(cls, z: float, t: float, a: float) -> "DiscretizationParams":
@@ -70,6 +64,10 @@ class DiscretizationParams:
             raise DomainError("from_deviation requires z <= 0")
         n = int(math.ceil(-z * t ** (2.0 / 3.0 - a)))
         return cls(t=t, a=a, n=n)
+
+    @property
+    def xi(self) -> float:
+        return self.t ** self.a
 
     @property
     def level_spacing(self) -> float:

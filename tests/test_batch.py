@@ -12,8 +12,8 @@ from airylab import hill, sao
 from airylab.fredholm import sample_sao2_spectra
 from airylab.hill import Boundary, HillConfig, NoisePath, dirichlet_spectra
 from airylab.mc import estimate_from_log_samples, spawn_rng
-from airylab.sao import (SaoConfig, ldp_estimate, optimal_drift_profile, sample_path,
-                         sandwich_check, sao_spectrum)
+from airylab.sao import (SaoConfig, ldp_estimate, optimal_drift_profile, sandwich_check,
+                         sao_spectrum)
 from airylab.variational import DiscretizationParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +33,10 @@ def _serial(monkeypatch):
     monkeypatch.setattr(hill, "_usable_cpus", lambda: 1)
 
 
+def _paths(cfg, rng, n):
+    return (NoisePath.sample(rng, cfg.grid_n, cfg.h) for _ in range(n))
+
+
 def _same_spectra(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -45,7 +49,7 @@ class TestSameBits:
         for grid_n in (2 ** 10, 2 ** 12):
             cfg = SaoConfig(beta=2.0, domain_l=40.0, grid_n=grid_n, lambda_cap=36.0)
             rng = spawn_rng(71, "laplace-mc")
-            expected = [sao_spectrum(cfg, sample_path(cfg, rng)) for _ in range(5)]
+            expected = [sao_spectrum(cfg, path) for path in _paths(cfg, rng, 5)]
             _same_spectra(sample_sao2_spectra(cfg, 5, 71), expected)
 
     @pytest.mark.parametrize("base, offset", [("one", 0), ("group", -1), ("group", 0),
@@ -57,10 +61,9 @@ class TestSameBits:
         in_flight = group * hill._GROUPS_PER_WORKER * max(2, hill._usable_cpus())
         n = {"one": 1, "group": group, "in flight": in_flight}[base] + offset
         rng = spawn_rng(72, "batch-sizes", n)
-        expected = [sao_spectrum(cfg, sample_path(cfg, rng)) for _ in range(n)]
+        expected = [sao_spectrum(cfg, path) for path in _paths(cfg, rng, n)]
         rng = spawn_rng(72, "batch-sizes", n)
-        _same_spectra(list(dirichlet_spectra(cfg, (sample_path(cfg, rng) for _ in range(n)))),
-                      expected)
+        _same_spectra(list(dirichlet_spectra(cfg, _paths(cfg, rng, n))), expected)
 
     def test_hill_levels_and_paths_drawn_lazily(self):
         cfg = HillConfig(j=2, xi=1.0, beta=1.0, grid_n=POOL_CELLS, lambda_cap=200.0)
@@ -188,17 +191,42 @@ print(all(np.array_equal(a.eigenvalues, b.eigenvalues) for a, b in zip(first, ag
     assert done.stdout.split() == ["broken", "True", "True"], done.stderr
 
 
-# digests of the Monte-Carlo commands before batch solving, from the table in CHANGES.md
+# digests of every command of scripts/output_digests.py but `report --fast`
+# (about 90 s), from the table in CHANGES.md
 RECORDED = {
-    "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7": "fbe631c44a48490a",
-    "sao ldp --z -1 --t 16 --samples 400 --importance --seed 7": "c69f5b74c0fbf58c",
+    "rate-fn --z-min -2 --z-max 0 --steps 21 --beta 2": "ecf057e335847e98",
+    "variational --z -1 --beta 2": "36323814f2e12c45",
+    "hill --j 1 --xi 1 --beta 2 --grid-n 4096 --seed 7": "69b273806e6bd11a",
+    "hill --j 1 --xi 1 --beta 2 --grid-n 512 --boundary periodic --seed 7": "b070c001611d8c4e",
+    "hill --j 1 --lambda 30 --seed 7": "d965b904e30fe17f",
+    "hill --j 1 --xi 1 --grid-n 16 --lambda 10000 --seed 7": "2b24696ce6f8c5aa",
+    "hill --grid-n 8 (exit 1)": "cf205dbb8cea8489",
+    "sao spectrum --domain-l 20 --grid-n 8192 --lambda-cap 5 --seed 7": "94b007caf42fb9ea",
+    "sao count --grid-n 1024 --domain-l 12 --lambda-cap 5 --lambda 3 --seed 7": "dd1bc666ff837966",
     "sao sandwich --z -1 --t 1 --n-levels 2 --samples 400 --seed 7": "d07713d5cbbfe5f5",
+    "sao ldp --z -1 --t 16 --samples 400 --importance --seed 7": "c69f5b74c0fbf58c",
+    "sao ldp --z -1 --t 4 --samples 400 --seed 7": "7753dc7e0317c2bb",
+    "sao ldp --z -1 --t 16 --samples 200 --seed 7": "d007bbd66894af64",
+    "fredholm --s 1 --t 1": "86d86bdf291c585d",
+    "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7": "fbe631c44a48490a",
+    "wkb --trials 40 --grid-n 128 --seed 7": "90d7aa37624949a3",
+    "scripts/ldp_trend.py --t 2 4 --samples 200": "6e042d45ac26f191",
+    "scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048": "7c9422767558ca94",
+    "scripts/sandwich_scan.py --n 1 2 --samples 300": "45a1b6f06d5239fc",
 }
 
 
+def test_every_reference_command_is_recorded():
+    digests = _digests()
+    assert set(RECORDED) == {label for label, _ in digests.COMMANDS} - {digests.REPORT_FAST}
+
+
+# the name predates the deterministic commands in RECORDED; it stays so that
+# the earlier test ids stay valid
 @pytest.mark.parametrize("label", sorted(RECORDED))
 def test_monte_carlo_outputs_keep_their_digests(label):
-    assert _digests().label_digest(label) == RECORDED[label]
+    digests = _digests()
+    assert digests.label_digest(label, dict(digests.COMMANDS)[label]) == RECORDED[label]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")

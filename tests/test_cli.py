@@ -129,10 +129,10 @@ class TestExitCodes:
         assert "invalid input" in capsys.readouterr().err
 
     def test_plain_value_error_is_not_invalid_input(self, capsys, monkeypatch):
-        def broken(config):
+        def broken(args):
             raise ValueError("a bug, not a user error")
 
-        monkeypatch.setitem(cli._DISPATCH, "wkb", broken)
+        monkeypatch.setattr(cli, "_cmd_wkb", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["wkb", "--trials", "1"])
         assert "invalid input" not in capsys.readouterr().err
@@ -166,6 +166,11 @@ class TestReportCommand:
         payload = json.loads(out)
         assert payload["all_passed"]
         assert [c["id"] for c in payload["criteria"]] == [1, 2, 5, 8, 9]
+
+    def test_report_and_commands_share_the_schema_version(self, capsys):
+        _, report = run_cli(["report", "--skip", "mc", "--skip", "deterministic"], capsys)
+        _, payload = run_cli(["variational", "--z", "-1", "--beta", "2"], capsys)
+        assert json.loads(report)["schema_version"] == json.loads(payload)["schema_version"]
 
     def test_schema_stable_across_runs(self, capsys):
         _, out_a = run_cli(["report", "--skip", "mc", "--fast"], capsys)

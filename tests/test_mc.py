@@ -106,10 +106,3 @@ class TestProduct:
         b = McEstimate(mean=2.0, stderr=0.1, n_samples=10, seed=0)
         prod = product_estimate([a, b], seed=0)
         assert prod.stderr == pytest.approx(0.05)
-
-    def test_within_helper(self):
-        a = McEstimate(mean=1.0, stderr=0.1, n_samples=10, seed=0)
-        b = McEstimate(mean=1.25, stderr=0.0, n_samples=10, seed=0)
-        assert a.within(b)
-        assert a.within(1.29)
-        assert not a.within(1.35)

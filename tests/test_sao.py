@@ -12,7 +12,7 @@ from airylab.hill import (HillConfig, NoisePath, SpectrumSample, hill_spectrum,
 from airylab.mc import estimate_from_log_samples, estimate_from_samples, spawn_rng
 from airylab.rate import phi_minus
 from airylab.sao import (SaoConfig, ldp_estimate, optimal_drift_profile, riccati_count_sao,
-                         sample_path, sandwich_check, sao_spectrum, weighted_log_samples)
+                         sandwich_check, sao_spectrum, weighted_log_samples)
 from airylab.variational import DiscretizationParams
 
 # bisection zeros of Ai (airylab.airy.first_airy_zero locates the first; the
@@ -32,7 +32,7 @@ class TestSpectrum:
         noiseless = SaoConfig(beta=2.0, domain_l=L, grid_n=grid_n, lambda_cap=5.0)
         ev0 = sao_spectrum(noiseless, NoisePath.zeros(grid_n, L / grid_n)).eigenvalues
         cfg = SaoConfig(beta=1e8, domain_l=L, grid_n=grid_n, lambda_cap=5.0)
-        path = sample_path(cfg, spawn_rng(5, "huge-beta"))
+        path = NoisePath.sample(spawn_rng(5, "huge-beta"), cfg.grid_n, cfg.h)
         ev = sao_spectrum(cfg, path).eigenvalues
         assert ev.size == ev0.size
         np.testing.assert_allclose(ev, ev0, atol=1e-3)
@@ -43,7 +43,8 @@ class TestSpectrum:
         rng = spawn_rng(31, "ground-state")
         samples = np.empty(2000)
         for i in range(samples.size):
-            samples[i] = sao_spectrum(cfg, sample_path(cfg, rng)).eigenvalues[0]
+            path = NoisePath.sample(rng, cfg.grid_n, cfg.h)
+            samples[i] = sao_spectrum(cfg, path).eigenvalues[0]
         est = estimate_from_samples(samples, 31)
         assert 1.4 <= est.mean <= 2.1
         assert est.stderr < 0.05
@@ -88,7 +89,7 @@ class TestRiccati:
         agree = 0
         draws = 60
         for _ in range(draws):
-            path = sample_path(cfg, rng)
+            path = NoisePath.sample(rng, cfg.grid_n, cfg.h)
             lam = float(rng.uniform(-2.0, 8.0))
             rc = riccati_count_sao(lam, cfg, path)
             mc = sao_spectrum(cfg, path).count_below(lam)
@@ -97,7 +98,7 @@ class TestRiccati:
 
     def test_count_nondecreasing_in_lambda(self):
         cfg = SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 12, lambda_cap=9.0)
-        path = sample_path(cfg, spawn_rng(34, "mono"))
+        path = NoisePath.sample(spawn_rng(34, "mono"), cfg.grid_n, cfg.h)
         counts = [riccati_count_sao(float(lam), cfg, path)
                   for lam in np.linspace(-3.0, 8.0, 20)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -109,7 +110,7 @@ class TestRiccati:
         rng = spawn_rng(36, "dual-sao")
         t, z = 2.0, -1.5
         for _ in range(20):
-            spec = sao_spectrum(cfg, sample_path(cfg, rng))
+            spec = sao_spectrum(cfg, NoisePath.sample(rng, cfg.grid_n, cfg.h))
             direct = linear_statistic(spec, z, t)
             dual = counting_integral(spec, z, t)
             assert dual == pytest.approx(direct, rel=1e-6, abs=1e-12)
@@ -151,7 +152,7 @@ class TestReferenceAssembly:
 
     def test_sao_bits(self):
         cfg = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2048, lambda_cap=36.0)
-        path = sample_path(cfg, spawn_rng(36, "reference-assembly"))
+        path = NoisePath.sample(spawn_rng(36, "reference-assembly"), cfg.grid_n, cfg.h)
         h = cfg.h
         noise = 2.0 / math.sqrt(cfg.beta) * path.increments / h
         nodes = np.arange(1, cfg.grid_n) * h
@@ -233,7 +234,7 @@ class TestGirsanov:
             return 0.0
 
         logs = weighted_log_samples(cfg, statistic, np.zeros(256), 5,
-                                    spawn_rng(7, "zero-drift"), 7)
+                                    spawn_rng(7, "zero-drift"))
         assert np.all(logs == 0.0)
         rng = spawn_rng(7, "zero-drift")
         expected = [hill_spectrum(cfg, NoisePath.sample(rng, 256, cfg.h)).eigenvalues
@@ -247,7 +248,7 @@ class TestGirsanov:
         # a cap below every spectrum keeps the solves trivial
         cfg = HillConfig(j=0, xi=1.0, beta=2.0, grid_n=64, lambda_cap=-1e3)
         logs = weighted_log_samples(cfg, lambda spectrum: 0.0, np.full(64, rate), n,
-                                    spawn_rng(8, "weight-mean"), 8)
+                                    spawn_rng(8, "weight-mean"))
         est = estimate_from_samples(np.exp(logs), 8)
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
@@ -260,7 +261,7 @@ class TestGirsanov:
         grid_n = 512
         cfg = HillConfig(j=0, xi=xi, beta=2.0, grid_n=grid_n, lambda_cap=0.0)
         [logw] = weighted_log_samples(cfg, lambda spectrum: 0.0, np.full(grid_n, rate), 1,
-                                      _MeanPathRng(), 0)
+                                      _MeanPathRng())
         expected = -0.5 * t ** (a + 4.0 / 3.0) * v ** 2
         assert logw == pytest.approx(expected, rel=1e-10)
 
@@ -269,7 +270,7 @@ class TestGirsanov:
         # t^{2/3} v_j and leaves the cells past the last level undrifted
         seen = []
 
-        def capture(config, log_statistic, rates, n_samples, rng, seed):
+        def capture(config, log_statistic, rates, n_samples, rng):
             seen.append((rates, config.h))
             return np.zeros(n_samples)
 

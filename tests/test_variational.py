@@ -191,12 +191,6 @@ class TestParams:
             with pytest.raises(DomainError):
                 DiscretizationParams(t=10.0, a=bad_a, n=1)
 
-    def test_xi_must_match(self):
-        with pytest.raises(DomainError):
-            DiscretizationParams(t=10.0, a=0.5, n=1, xi=3.0)
-        p = DiscretizationParams(t=10.0, a=0.5, n=1, xi=10.0 ** 0.5)
-        assert p.xi == pytest.approx(math.sqrt(10.0), rel=1e-15)
-
     def test_level_count_from_deviation(self):
         p = DiscretizationParams.from_deviation(-1.0, 16.0, 0.0)
         assert p.n == math.ceil(16.0 ** (2.0 / 3.0))
