@@ -44,6 +44,7 @@ COMMANDS = [
     ("wkb --trials 40 --grid-n 128 --seed 7", None),
     ("scripts/ldp_trend.py --t 2 4 --samples 200", None),
     ("scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048", None),
+    ("scripts/fredholm_sweep.py --s 0.25 4 64 --t 2 --samples 50 --grid-n 2048", None),
     ("scripts/sandwich_scan.py --n 1 2 --samples 300", None),
     (REPORT_FAST, ["-m", "airylab.cli", "report", "--fast"]),
 ]

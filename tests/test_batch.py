@@ -212,6 +212,7 @@ RECORDED = {
     "wkb --trials 40 --grid-n 128 --seed 7": "90d7aa37624949a3",
     "scripts/ldp_trend.py --t 2 4 --samples 200": "6e042d45ac26f191",
     "scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048": "7c9422767558ca94",
+    "scripts/fredholm_sweep.py --s 0.25 4 64 --t 2 --samples 50 --grid-n 2048": "65b6d349fcc0aba5",
     "scripts/sandwich_scan.py --n 1 2 --samples 300": "45a1b6f06d5239fc",
 }
 

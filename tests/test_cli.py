@@ -128,6 +128,11 @@ class TestExitCodes:
         assert main(["hill", "--grid-n", "8"]) == 1
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes", ["0", "-5"])
+    def test_no_quadrature_nodes_is_a_domain_error(self, capsys, nodes):
+        assert main(["fredholm", "--s", "1", "--t", "1", "--grid-n", nodes]) == 1
+        assert capsys.readouterr().err.startswith("domain error:")
+
     def test_plain_value_error_is_not_invalid_input(self, capsys, monkeypatch):
         def broken(args):
             raise ValueError("a bug, not a user error")

@@ -5,11 +5,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from airylab import airy, fredholm
 from airylab.errors import DomainError, IncompleteSpectrumError, ResolutionError
 from airylab.fredholm import (KernelParams, QuadratureGrid, airy_product_estimate,
-                              determinant_vs_point_process, fredholm_det, kernel_eval,
-                              kernel_grid, product_log_factors, proxy_f, proxy_psi,
-                              sample_sao2_spectra, truncation_threshold)
+                              clustered_nodes, determinant_vs_point_process, fredholm_det,
+                              kernel_eval, kernel_grid, product_log_factors, proxy_f,
+                              proxy_psi, sample_sao2_spectra, truncation_threshold)
 from airylab.mc import spawn_rng
 from airylab.sao import SaoConfig
 
@@ -104,6 +105,9 @@ class TestDeterminant:
         params = KernelParams(s=1.0, t=1.0)
         with pytest.raises(DomainError):
             fredholm_det(params, kernel_grid(params, n_nodes=20))
+        for n in (0, -5):
+            with pytest.raises(DomainError):
+                kernel_grid(params, n_nodes=n)
 
     def test_unreachable_gate_raises_resolution_error(self):
         params = KernelParams(s=1.0, t=1.0)
@@ -121,6 +125,75 @@ class TestDeterminant:
         sym = sw[:, None] * k * sw[None, :]
         ev = np.linalg.eigvalsh(sym)
         assert ev.min() > -1e-10
+
+
+class TestAiryTableMemo:
+    """fredholm_det reuses the Airy tables of one r-window across s."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        def empty():
+            monkeypatch.setattr(fredholm, "_AIRY_TABLES", fredholm._AiryTables())
+
+        empty()
+        return empty
+
+    @staticmethod
+    def _grids(t):
+        params = KernelParams(s=1.0, t=t)
+        g48, g96 = kernel_grid(params, n_nodes=48), kernel_grid(params, n_nodes=96)
+        # the same window as kernel_grid, other nodes
+        nodes, weights = clustered_nodes(64)
+        hand = QuadratureGrid(nodes=nodes, weights=weights, r_cut_low=g48.r_cut_low,
+                              r_cut_high=g48.r_cut_high, x_max=g48.x_max)
+        return [g48, g96, hand]
+
+    def test_interleaved_windows_keep_the_bits(self, empty_memo, monkeypatch):
+        visits = [(t, self._grids(t)) for t in (0.5, 1.0, 2.0, 0.5)]
+        s_values = (0.25, 1.0, 7.3, 1e3)
+        expected = {}
+        for t, grids in visits:
+            for k, grid in enumerate(grids):
+                for s in s_values:
+                    empty_memo()
+                    expected[t, k, s] = fredholm_det(KernelParams(s=s, t=t), grid)
+        empty_memo()
+
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return airy.ai_values(x)
+
+        monkeypatch.setattr(fredholm, "ai_values", counted)
+        for t, grids in visits:
+            del calls[:]
+            for k, grid in enumerate(grids):
+                for s in s_values:
+                    assert fredholm_det(KernelParams(s=s, t=t), grid) == expected[t, k, s]
+            # coarse and fine tables of each of the three grids, once per visit
+            assert len(calls) == 2 * len(grids)
+        window, tables = fredholm._AIRY_TABLES.held
+        grids = visits[-1][1]
+        assert window == (grids[0].r_cut_low, grids[0].r_cut_high)
+        fine = [clustered_nodes(2 * g.nodes.size, x_max=g.x_max)[0] for g in grids]
+        assert set(tables) == ({(g.nodes.tobytes(), 16) for g in grids}
+                               | {(x.tobytes(), 24) for x in fine})
+        assert not any(a.flags.writeable for a in tables.values())
+
+    def test_reused_table_against_kernel_eval(self):
+        # kernel_eval builds its own Airy values: an s-dependent factor kept
+        # in the memo would show at the second s
+        grid = kernel_grid(KernelParams(s=1.0, t=1.0), n_nodes=48)
+        fredholm_det(KernelParams(s=0.25, t=1.0), grid)
+        idx = np.flatnonzero(grid.nodes <= 2.0)[::3]
+        for s in (0.25, 40.0):
+            params = KernelParams(s=s, t=1.0)
+            k = fredholm._kernel_matrix(grid.nodes, params, grid.r_cut_low, grid.r_cut_high)
+            for i in idx:
+                for j in idx:
+                    expected = kernel_eval(grid.nodes[i], grid.nodes[j], params, grid)
+                    assert k[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 class TestProductSide:
