@@ -4,8 +4,8 @@
 Each command runs in a fresh interpreter on this checkout's sources, with
 BLAS on one thread.  A digest is the first 16 hex digits of the sha256 of
 the command's standard output, followed for CLI commands by
-"exit=<code>\\n"; for `report --fast` the wall-clock field runtime_s is
-dropped first.  The table of digests in CHANGES.md uses this form.  Running
+"exit=<code>\\n"; for the `report` commands the wall-clock field runtime_s
+is dropped first.  The table of digests in CHANGES.md uses this form.  Running
 the script on two checkouts and comparing the lines checks that a change
 keeps every output byte-identical:
 
@@ -46,6 +46,8 @@ COMMANDS = [
     ("scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048", None),
     ("scripts/fredholm_sweep.py --s 0.25 4 64 --t 2 --samples 50 --grid-n 2048", None),
     ("scripts/sandwich_scan.py --n 1 2 --samples 300", None),
+    ("report --skip mc --fast, runtime_s stripped",
+     ["-m", "airylab.cli", "report", "--skip", "mc", "--fast"]),
     (REPORT_FAST, ["-m", "airylab.cli", "report", "--fast"]),
 ]
 
@@ -83,7 +85,7 @@ def digest(argv: list[str], report: bool = False, exit_line: bool = True) -> str
 
 def label_digest(label: str, argv: list[str] | None = None) -> str:
     """Digest of one entry of COMMANDS."""
-    return digest(argv_of(label, argv), report=label == REPORT_FAST,
+    return digest(argv_of(label, argv), report=label.startswith("report "),
                   exit_line=not label.startswith("scripts/"))
 
 

@@ -4,7 +4,7 @@ and Hill spectra with Riccati explosion counting, Fredholm determinants,
 localization sandwich and WKB spectral inequality.
 """
 
-from .airy import AiryEval, airy_ai, ai_values, first_airy_zero
+from .airy import ai_values
 from .errors import (ConfigurationError, DomainError, IncompleteSpectrumError,
                      ResolutionError, UnderflowDiagnostic)
 from .fredholm import (KernelParams, QuadratureGrid, determinant_vs_point_process,
@@ -14,10 +14,9 @@ from .hill import (Boundary, CellOperator, HillConfig, NoisePath, SpectrumSample
 from .mc import McEstimate, spawn_rng
 from .rate import phi_minus, phi_minus_scaled
 from .sao import SaoConfig, ldp_estimate, riccati_count_sao, sandwich_check, sao_spectrum
-from .variational import (DiscretizationParams, DriftProblem, drift_objective,
-                          linear_statistic_drifted, optimal_drift, riemann_sum_value,
-                          variational_value, weyl_count)
-from .wkb import (PotentialProfile, eigensum_compare, ky_fan_sum, min_partial_sum,
-                  periodic_hill_pair, random_profile, wkb_compare)
+from .variational import (DiscretizationParams, DriftProblem, optimal_drift,
+                          riemann_sum_value, variational_value)
+from .wkb import (PotentialProfile, min_partial_sum, periodic_hill_pair, random_profile,
+                  wkb_compare)
 
 __version__ = "0.1.0"

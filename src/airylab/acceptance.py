@@ -1,8 +1,9 @@
 """Acceptance suite: one callable per criterion, shared by pytest and the CLI.
 
-Each criterion returns a CriterionResult with the measured quantities and
-its stated runtime budget.  Sampling-heavy criteria are tagged "mc" so the
-CLI can skip them; everything is deterministic given the seed.
+Each criterion declares its id, label, group and runtime budget once, in
+its _criterion decorator, and returns a CriterionResult with the measured
+quantities.  Sampling-heavy criteria are in the group "mc" so the CLI can
+skip them; everything is deterministic given the seed.
 """
 from __future__ import annotations
 
@@ -41,17 +42,36 @@ class CriterionResult:
         return f"[criterion {self.cid}] {state} {self.label} ({self.runtime_s:.1f}s)"
 
 
-def _finish(result: CriterionResult, t0: float) -> CriterionResult:
-    result.runtime_s = time.perf_counter() - t0
-    if result.runtime_s > result.budget_s:
-        result.passed = False
-        result.measured["runtime_exceeded"] = True
-    return result
+ALL_CRITERIA: list = []  # (criterion, group) in definition order, filled by _criterion
 
 
-def criterion_1_variational_identity(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+def _criterion(cid: int, label: str, group: str, budget_s: float):
+    """Register a body returning (passed, measured) as criterion cid.
+
+    The registered callable times the body and fails a run that exceeds
+    budget_s, marking it with measured["runtime_exceeded"].
+    """
+    def register(body):
+        def criterion(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, measured = body(seed, fast)
+            runtime_s = time.perf_counter() - t0
+            if runtime_s > budget_s:
+                passed = False
+                measured["runtime_exceeded"] = True
+            return CriterionResult(cid, label, group, passed, budget_s, runtime_s, measured)
+
+        # the body's name and docstring, but not its signature
+        criterion.__name__ = criterion.__qualname__ = body.__name__
+        criterion.__doc__ = body.__doc__
+        ALL_CRITERIA.append((criterion, group))
+        return criterion
+    return register
+
+
+@_criterion(1, "variational identity on 20 (beta, z) pairs", "deterministic", budget_s=5.0)
+def criterion_1_variational_identity(seed: int, fast: bool) -> tuple[bool, dict]:
     """Optimal-drift integral equals the beta-scaled rate function."""
-    t0 = time.perf_counter()
     betas = [0.5, 1.0, 2.0, 4.0]
     zs = [-0.25, -1.0, -2.0, -5.0, -10.0]
     worst = 0.0
@@ -60,15 +80,12 @@ def criterion_1_variational_identity(seed: int = DEFAULT_SEED, fast: bool = Fals
             val = variational_value(z, beta)
             target = phi_minus_scaled(beta, z)
             worst = max(worst, abs(val - target) / target)
-    res = CriterionResult(1, "variational identity on 20 (beta, z) pairs",
-                          "deterministic", worst <= 1e-6, budget_s=5.0,
-                          measured={"max_rel_err": worst, "tolerance": 1e-6})
-    return _finish(res, t0)
+    return worst <= 1e-6, {"max_rel_err": worst, "tolerance": 1e-6}
 
 
-def criterion_2_rate_asymptotics(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+@_criterion(2, "rate-function asymptotics (cubic origin, 5/2 tail)", "deterministic", budget_s=5.0)
+def criterion_2_rate_asymptotics(seed: int, fast: bool) -> tuple[bool, dict]:
     """Cubic behaviour at 0 and the 5/2-power tail of the rate function."""
-    t0 = time.perf_counter()
     z_small = -1e-3
     cubic_ratio = phi_minus(z_small) / abs(z_small) ** 3
     cubic_ok = (1.0 / 12.0) * 0.99 <= cubic_ratio <= (1.0 / 12.0) * 1.01
@@ -76,14 +93,12 @@ def criterion_2_rate_asymptotics(seed: int = DEFAULT_SEED, fast: bool = False) -
     tail_ratio = phi_minus(z_big) * abs(z_big) ** -2.5
     tail_target = 4.0 / (15.0 * math.pi)
     tail_ok = abs(tail_ratio - tail_target) <= 0.05 * tail_target
-    res = CriterionResult(2, "rate-function asymptotics (cubic origin, 5/2 tail)",
-                          "deterministic", cubic_ok and tail_ok, budget_s=5.0,
-                          measured={"cubic_ratio": cubic_ratio, "cubic_target": 1.0 / 12.0,
-                                    "tail_ratio": tail_ratio, "tail_target": tail_target})
-    return _finish(res, t0)
+    return cubic_ok and tail_ok, {"cubic_ratio": cubic_ratio, "cubic_target": 1.0 / 12.0,
+                                  "tail_ratio": tail_ratio, "tail_target": tail_target}
 
 
-def criterion_3_fredholm_identity(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+@_criterion(3, "Fredholm determinant = point-process expectation", "mc", budget_s=600.0)
+def criterion_3_fredholm_identity(seed: int, fast: bool) -> tuple[bool, dict]:
     """det(I - K_{s,t}) equals the Airy-point-process product expectation.
 
     The three (s, t) points share one batch of spectrum samples; each
@@ -92,7 +107,6 @@ def criterion_3_fredholm_identity(seed: int = DEFAULT_SEED, fast: bool = False) 
     above any cap reachable on a length-40 domain, and the tail bias at
     1e-12 is ~1e-11, far below the Monte-Carlo error.
     """
-    t0 = time.perf_counter()
     n_samples = 400 if fast else 2000
     cases = [(1.0, 1.0, 1e-15), (0.5, 1.0, 1e-15), (2.0, 0.5, 1e-12)]
     config = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 14, lambda_cap=36.0)
@@ -103,14 +117,12 @@ def criterion_3_fredholm_identity(seed: int = DEFAULT_SEED, fast: bool = False) 
         measured[f"s={s},t={t}"] = {"det": det, "mc": est.mean, "stderr": est.stderr,
                                     "sigma_distance": sigma}
         passed &= sigma <= 3.0
-    res = CriterionResult(3, "Fredholm determinant = point-process expectation",
-                          "mc", passed, budget_s=600.0, measured=measured)
-    return _finish(res, t0)
+    return passed, measured
 
 
-def criterion_4_riccati_matrix(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+@_criterion(4, "Riccati explosion counts vs matrix counts (+-1)", "mc", budget_s=300.0)
+def criterion_4_riccati_matrix(seed: int, fast: bool) -> tuple[bool, dict]:
     """Explosion counts track matrix eigenvalue counts within +-1."""
-    t0 = time.perf_counter()
     draws = 40 if fast else 200
     rng = spawn_rng(seed, "acceptance-riccati")
     sao_cfg = SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0)
@@ -135,40 +147,32 @@ def criterion_4_riccati_matrix(seed: int = DEFAULT_SEED, fast: bool = False) -> 
             agree += abs(rc - mc) <= 1
         measured[f"{name}_agreement"] = agree / draws
     passed = measured["sao_agreement"] >= 0.95 and measured["hill_agreement"] >= 0.95
-    res = CriterionResult(4, "Riccati explosion counts vs matrix counts (+-1)",
-                          "mc", passed, budget_s=300.0, measured=measured)
-    return _finish(res, t0)
+    return passed, measured
 
 
-def criterion_5_wkb(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+@_criterion(5, "periodic WKB inequality over random rough drifts", "deterministic", budget_s=120.0)
+def criterion_5_wkb(seed: int, fast: bool) -> tuple[bool, dict]:
     """No violations of the constant-drift spectral inequality."""
-    t0 = time.perf_counter()
     trials = 40 if fast else 200
     violations, max_gap = wkb_trials(spawn_rng(seed, "acceptance-wkb"), trials, grid_n=512)
-    res = CriterionResult(5, "periodic WKB inequality over random rough drifts",
-                          "deterministic", violations == 0, budget_s=120.0,
-                          measured={"trials": trials, "violations": violations,
-                                    "max_gap": max_gap})
-    return _finish(res, t0)
+    return violations == 0, {"trials": trials, "violations": violations, "max_gap": max_gap}
 
 
-def criterion_6_sandwich(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+@_criterion(6, "localization sandwich (t=1, z=-1, beta=2, n=2)", "mc", budget_s=600.0)
+def criterion_6_sandwich(seed: int, fast: bool) -> tuple[bool, dict]:
     """Localization sandwich at desk scale: lower <= middle <= upper."""
-    t0 = time.perf_counter()
     n_samples = 2000 if fast else 10 ** 4
     params = DiscretizationParams(t=1.0, a=0.0, n=2)
     lower, middle, upper = sandwich_check(-1.0, 1.0, 2.0, params, n_samples, seed=seed)
     lo_ok = lower.mean <= middle.mean + 3.0 * math.hypot(lower.stderr, middle.stderr)
     up_ok = middle.mean <= upper.mean + 3.0 * math.hypot(middle.stderr, upper.stderr)
-    res = CriterionResult(6, "localization sandwich (t=1, z=-1, beta=2, n=2)",
-                          "mc", lo_ok and up_ok, budget_s=600.0,
-                          measured={"lower": lower.mean, "lower_stderr": lower.stderr,
-                                    "middle": middle.mean, "middle_stderr": middle.stderr,
-                                    "upper": upper.mean, "upper_stderr": upper.stderr})
-    return _finish(res, t0)
+    return lo_ok and up_ok, {"lower": lower.mean, "lower_stderr": lower.stderr,
+                             "middle": middle.mean, "middle_stderr": middle.stderr,
+                             "upper": upper.mean, "upper_stderr": upper.stderr}
 
 
-def criterion_7_ldp_trend(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+@_criterion(7, "LDP trend under importance sampling (t = 4, 8, 16)", "mc", budget_s=1800.0)
+def criterion_7_ldp_trend(seed: int, fast: bool) -> tuple[bool, dict]:
     """Importance-sampled estimates approach -phi_minus(-1) as t grows.
 
     The exponent (1/t^2) log E rises toward its limit from below (Jensen
@@ -177,7 +181,6 @@ def criterion_7_ldp_trend(seed: int = DEFAULT_SEED, fast: bool = False) -> Crite
     |estimate| must decrease toward phi_minus(-1) within combined errors,
     and the t=16 value must land within the 35% engineering band.
     """
-    t0 = time.perf_counter()
     schedule = [(4.0, 4000), (8.0, 4000), (16.0, 6000)] if fast else \
                [(4.0, 60000), (8.0, 60000), (16.0, 60000)]
     target = -phi_minus(-1.0)
@@ -190,18 +193,15 @@ def criterion_7_ldp_trend(seed: int = DEFAULT_SEED, fast: bool = False) -> Crite
     dec_48 = abs(e4.mean) > abs(e8.mean)
     dec_816 = abs(e8.mean) > abs(e16.mean)
     band = abs(e16.mean - target) <= 0.35 * abs(target)
-    res = CriterionResult(7, "LDP trend under importance sampling (t = 4, 8, 16)",
-                          "mc", finite and dec_48 and dec_816 and band, budget_s=1800.0,
-                          measured={"target": target,
-                                    **{f"t={t}": {"mean": e.mean, "stderr": e.stderr}
-                                       for t, e in ests.items()},
-                                    "t16_rel_gap": abs(e16.mean - target) / abs(target)})
-    return _finish(res, t0)
+    return finite and dec_48 and dec_816 and band, {
+        "target": target,
+        **{f"t={t}": {"mean": e.mean, "stderr": e.stderr} for t, e in ests.items()},
+        "t16_rel_gap": abs(e16.mean - target) / abs(target)}
 
 
-def criterion_8_dual_representation(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+@_criterion(8, "linear statistic dual representation", "deterministic", budget_s=10.0)
+def criterion_8_dual_representation(seed: int, fast: bool) -> tuple[bool, dict]:
     """Negative-part sum equals the integrated counting function."""
-    t0 = time.perf_counter()
     rng = spawn_rng(seed, "acceptance-dual")
     worst = 0.0
     for _ in range(100):
@@ -217,15 +217,12 @@ def criterion_8_dual_representation(seed: int = DEFAULT_SEED, fast: bool = False
             worst = max(worst, abs(direct - dual) / abs(direct))
         else:
             worst = max(worst, abs(dual))
-    res = CriterionResult(8, "linear statistic dual representation",
-                          "deterministic", worst <= 1e-6, budget_s=10.0,
-                          measured={"max_rel_err": worst})
-    return _finish(res, t0)
+    return worst <= 1e-6, {"max_rel_err": worst}
 
 
-def criterion_9_proxy_bounds(seed: int = DEFAULT_SEED, fast: bool = False) -> CriterionResult:
+@_criterion(9, "proxy function bounds and limits", "deterministic", budget_s=5.0)
+def criterion_9_proxy_bounds(seed: int, fast: bool) -> tuple[bool, dict]:
     """Soft indicator and softplus proxies obey their elementary bounds."""
-    t0 = time.perf_counter()
     rng = spawn_rng(seed, "acceptance-proxy")
     ok = True
     worst = 0.0
@@ -246,24 +243,7 @@ def criterion_9_proxy_bounds(seed: int = DEFAULT_SEED, fast: bool = False) -> Cr
     ok &= bool(np.all(np.diff(fs) <= 0.0))
     ok &= bool(abs(fs[0] - 1.0) <= 1e-15)
     ok &= bool(fs[-1] <= math.exp(-math.exp(5.0)))
-    res = CriterionResult(9, "proxy function bounds and limits",
-                          "deterministic", ok, budget_s=5.0,
-                          measured={"max_bound_excess": worst,
-                                    "f_at_-40": float(fs[0]), "f_at_6": float(fs[-1])})
-    return _finish(res, t0)
-
-
-ALL_CRITERIA = [
-    (criterion_1_variational_identity, "deterministic"),
-    (criterion_2_rate_asymptotics, "deterministic"),
-    (criterion_3_fredholm_identity, "mc"),
-    (criterion_4_riccati_matrix, "mc"),
-    (criterion_5_wkb, "deterministic"),
-    (criterion_6_sandwich, "mc"),
-    (criterion_7_ldp_trend, "mc"),
-    (criterion_8_dual_representation, "deterministic"),
-    (criterion_9_proxy_bounds, "deterministic"),
-]
+    return ok, {"max_bound_excess": worst, "f_at_-40": float(fs[0]), "f_at_6": float(fs[-1])}
 
 
 def run_report(seed: int = DEFAULT_SEED, skip: tuple = (), fast: bool = False) -> dict:

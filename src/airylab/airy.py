@@ -7,13 +7,12 @@ error is below 1e-13 for |x| <= 20; the overlap of the two branches at the
 switch point agrees to ~5e-14.
 
 For large positive x the value itself underflows around x ~ 108; the
-log-scaled field value * exp(+(2/3) x^{3/2}) stays O(x^{-1/4}) and is the
-representation consumers should use inside products and integrands.
+asymptotic branch computes the scaled value Ai(x) exp(+(2/3) x^{3/2}),
+which stays O(x^{-1/4}), and multiplies the exponential back in last.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +32,6 @@ _U = [1.0]
 for _k in range(1, 27):
     _U.append(_U[-1] * (6 * _k - 1) * (6 * _k - 3) * (6 * _k - 5) / (216.0 * _k * (2 * _k - 1)))
 _U = np.array(_U)
-
-
-@dataclass(frozen=True)
-class AiryEval:
-    """One Airy evaluation: plain value plus underflow-safe scaled value."""
-
-    value: float
-    log_scaled_value: float
 
 
 def _series(xs: np.ndarray) -> np.ndarray:
@@ -96,7 +87,7 @@ def ai_values(xs: np.ndarray) -> np.ndarray:
     """Vectorized Ai values (plain doubles; underflows to 0 beyond x ~ 108)."""
     xs = np.asarray(xs, dtype=float)
     if xs.size and not np.isfinite(xs).all():
-        raise DomainError("airy_ai requires finite input")
+        raise DomainError("ai_values requires finite input")
     out = np.empty_like(xs)
     mid = np.abs(xs) <= _SWITCH
     pos = xs > _SWITCH
@@ -109,38 +100,3 @@ def ai_values(xs: np.ndarray) -> np.ndarray:
     if neg.any():
         out[neg] = _asym_neg(xs[neg])
     return out
-
-
-def airy_ai(x: float) -> AiryEval:
-    """Ai(x) with its underflow-safe scaled companion."""
-    if not math.isfinite(x):
-        raise DomainError("airy_ai requires finite input")
-    xa = np.array([x], dtype=float)
-    if x > _SWITCH:
-        scaled = float(_asym_scaled_pos(xa)[0])
-        value = scaled * math.exp(-(2.0 / 3.0) * x ** 1.5)
-        return AiryEval(value=value, log_scaled_value=scaled)
-    value = float(ai_values(xa)[0])
-    if x > 0.0:
-        scaled = value * math.exp((2.0 / 3.0) * x ** 1.5)
-    else:
-        scaled = value  # no exponential scaling on the oscillatory side
-    return AiryEval(value=value, log_scaled_value=scaled)
-
-
-def first_airy_zero() -> float:
-    """Largest (least-negative) zero of Ai, located by bisection on ai_values."""
-    lo, hi = -3.0, -2.0
-    flo = float(ai_values(np.array([lo]))[0])
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fm = float(ai_values(np.array([mid]))[0])
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)

@@ -55,13 +55,17 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nystrom nodes/weights on [0, x_max] plus inner r-integral cutoffs."""
+    """Nystrom nodes/weights on [0, x_max] plus inner r-integral cutoffs.
+
+    x_max is the domain the nodes were built for, not their last node:
+    fredholm_det's refinement pass builds its own nodes on [0, x_max].
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     r_cut_low: float
     r_cut_high: float
-    x_max: float | None = None
+    x_max: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -74,8 +78,6 @@ class QuadratureGrid:
             raise DomainError("nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if self.x_max is None:
-            object.__setattr__(self, "x_max", float(nodes[-1]))
 
 
 def clustered_nodes(n: int, x_max: float = _X_MAX_DEFAULT,
@@ -163,17 +165,12 @@ def _kernel_matrix(xs: np.ndarray, params: KernelParams, r_lo: float, r_hi: floa
     return (a * w_eff[None, :]) @ a.T
 
 
-def kernel_eval(x: float, y: float, params: KernelParams, grid: QuadratureGrid,
-                hard_edge: bool = False) -> float:
+def kernel_eval(x: float, y: float, params: KernelParams, grid: QuadratureGrid) -> float:
     """Single kernel entry; symmetric in (x, y) by construction."""
     if x < 0.0 or y < 0.0:
         raise DomainError("kernel_eval requires x, y >= 0")
-    if hard_edge:
-        r, wr = _gl_panels(0.0, grid.r_cut_high)
-        w_eff = wr
-    else:
-        r, wr = _gl_panels(grid.r_cut_low, grid.r_cut_high)
-        w_eff = wr * _fermi(r, params)
+    r, wr = _gl_panels(grid.r_cut_low, grid.r_cut_high)
+    w_eff = wr * _fermi(r, params)
     ax = ai_values(x + r)
     ay = ax if y == x else ai_values(y + r)
     return float(np.dot(w_eff, ax * ay))

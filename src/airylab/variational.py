@@ -3,12 +3,14 @@
 Per level, the cost of forcing the noise to carry drift v against the
 spectral payoff is
 
-    drift_objective(v) = v^2/2 + (2/3pi) ((-z - (2/sqrt(beta)) v - nu)_+)^{3/2},
+    J(v) = v^2/2 + (2/3pi) ((-z - (2/sqrt(beta)) v - nu)_+)^{3/2},
 
-minimized in closed form by optimal_drift.  Integrating the optimal cost
-over the continuum level variable nu in [0, -z] reproduces the scaled rate
-function exactly; variational_value checks that identity numerically and
-riemann_sum_value realizes the discrete-level approximation of it.
+minimized in closed form by optimal_drift: with c = (-z - nu)_+, the
+minimizer is v* = 4/(pi^2 beta^{3/2}) (sqrt(1 + (beta pi/2)^2 c) - 1).
+Integrating the optimal cost J(v*) over the continuum level variable nu in
+[0, -z] reproduces the scaled rate function exactly; variational_value
+checks that identity numerically and riemann_sum_value realizes the
+discrete-level approximation of it.
 """
 from __future__ import annotations
 
@@ -75,44 +77,21 @@ class DiscretizationParams:
         return self.t ** (self.a - 2.0 / 3.0)
 
 
-def drift_objective(v: float, p: DriftProblem) -> float:
-    """Girsanov cost plus spectral payoff of a constant drift v."""
-    x = -p.z - 2.0 / math.sqrt(p.beta) * v - p.nu
-    xp = max(x, 0.0)
-    return 0.5 * v * v + 2.0 / (3.0 * math.pi) * xp ** 1.5
+def _depth_and_drift(z: float, beta: float, nu: float | np.ndarray):
+    """(c, v*) of the module docstring; nu may be a float or an array."""
+    c = np.maximum(-z - nu, 0.0)
+    s = np.sqrt(1.0 + (beta * math.pi / 2.0) ** 2 * c)
+    return c, 4.0 / (math.pi ** 2 * beta ** 1.5) * (s - 1.0)
 
 
 def optimal_drift(p: DriftProblem) -> float:
-    """Closed-form minimizer of drift_objective."""
-    c = max(-p.z - p.nu, 0.0)
-    s = math.sqrt(1.0 + (p.beta * math.pi / 2.0) ** 2 * c)
-    return 4.0 / (math.pi ** 2 * p.beta ** 1.5) * (s - 1.0)
-
-
-def weyl_count(lam: float, shift: float, xi: float) -> float:
-    """Leading-order eigenvalue count of a shifted Laplacian on [0, xi]."""
-    if not xi > 0.0:
-        raise DomainError("weyl_count requires xi > 0")
-    return xi / math.pi * math.sqrt(max(lam - shift, 0.0))
-
-
-def linear_statistic_drifted(z: float, t: float, beta: float, v: float, j: int,
-                             params: DiscretizationParams) -> float:
-    """Closed-form drifted linear statistic of one level.
-
-    Equals -t^{1/3} * integral of weyl_count over (-inf, -z t^{2/3}] with
-    shift (2/sqrt(beta)) t^{2/3} v + j xi.
-    """
-    x = -z - 2.0 / math.sqrt(beta) * v - j * t ** (params.a - 2.0 / 3.0)
-    xp = max(x, 0.0)
-    return -2.0 * t ** (params.a + 4.0 / 3.0) / (3.0 * math.pi) * xp ** 1.5
+    """Closed-form minimizer v* of the per-level cost J."""
+    return float(_depth_and_drift(p.z, p.beta, p.nu)[1])
 
 
 def _objective_values(nu: np.ndarray, z: float, beta: float) -> np.ndarray:
-    """Vectorized drift_objective at the optimal drift, as a function of nu."""
-    c = np.maximum(-z - nu, 0.0)
-    s = np.sqrt(1.0 + (beta * math.pi / 2.0) ** 2 * c)
-    v = 4.0 / (math.pi ** 2 * beta ** 1.5) * (s - 1.0)
+    """The optimal cost J(v*) at each level nu."""
+    c, v = _depth_and_drift(z, beta, nu)
     x = np.maximum(c - 2.0 / math.sqrt(beta) * v, 0.0)
     return 0.5 * v * v + 2.0 / (3.0 * math.pi) * x ** 1.5
 
@@ -153,6 +132,8 @@ def riemann_sum_value(z: float, beta: float, params: DiscretizationParams) -> fl
     """
     if z > 0.0:
         raise DomainError("riemann_sum_value requires z <= 0")
+    if not beta > 0.0:
+        raise DomainError("riemann_sum_value requires beta > 0")
     if params.n == 0:
         return 0.0
     spacing = params.level_spacing

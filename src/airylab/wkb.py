@@ -6,8 +6,8 @@ For f continuous on [0, xi] compare, under periodic boundary conditions,
 
 f' is discretized as cell increments of f, which makes trace(H) = trace(H~)
 exact at any resolution; the negative-part linear statistics of H are then
-bounded by those of H~ for every shift r.  min_partial_sum and ky_fan_sum
-are the two variational building blocks of that chain.
+bounded by those of H~ for every shift r.  min_partial_sum writes each of
+those statistics as a minimum over partial sums of the ordered spectrum.
 """
 from __future__ import annotations
 
@@ -72,22 +72,6 @@ def min_partial_sum(a, r: float) -> float:
     return float(min(0.0, partial.min()))
 
 
-def ky_fan_sum(matrix: np.ndarray, n: int) -> float:
-    """Sum of the n smallest eigenvalues of a symmetric matrix."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("ky_fan_sum requires a square matrix")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
-        raise DomainError("ky_fan_sum requires a symmetric matrix")
-    if not 0 <= n <= m.shape[0]:
-        raise DomainError("n must lie in [0, dim]")
-    if n == 0:
-        return 0.0
-    ev = np.linalg.eigvalsh(m)
-    return float(ev[:n].sum())
-
-
 def periodic_matrices(profile: PotentialProfile) -> tuple[np.ndarray, np.ndarray]:
     """(H, H~) as dense periodic finite-difference matrices."""
     h = profile.h
@@ -127,33 +111,3 @@ def wkb_trials(rng: np.random.Generator, trials: int,
         violations += not holds
         max_gap = max(max_gap, lhs - rhs)
     return violations, max_gap
-
-
-def eigensum_compare(profile: PotentialProfile, n: int) -> tuple[float, float]:
-    """(sum of n smallest of H, same for H~); first <= second."""
-    rough, flat = periodic_hill_pair(profile)
-    if n > rough.eigenvalues.size:
-        raise DomainError("n exceeds the spectrum size")
-    return (float(rough.eigenvalues[:n].sum()), float(flat.eigenvalues[:n].sum()))
-
-
-def fourier_mode_quadratic_forms(profile: PotentialProfile, n: int) -> float:
-    """Sum of Rayleigh quotients of the n lowest discrete Fourier modes on H~.
-
-    These modes are exact eigenvectors of the constant-potential periodic
-    matrix, so the value equals ky_fan_sum(H~, n).
-    """
-    _, flat = periodic_matrices(profile)
-    size = profile.grid_n
-    modes = [np.full(size, 1.0 / math.sqrt(size))]
-    k = 1
-    while len(modes) < n:
-        arg = 2.0 * math.pi * k * np.arange(size) / size
-        modes.append(np.cos(arg) * math.sqrt(2.0 / size))
-        if len(modes) < n:
-            modes.append(np.sin(arg) * math.sqrt(2.0 / size))
-        k += 1
-    total = 0.0
-    for psi in modes[:n]:
-        total += float(psi @ flat @ psi)
-    return total

@@ -65,3 +65,16 @@ def test_criterion_8_dual_representation():
 
 def test_criterion_9_proxy_bounds():
     _run(acceptance.criterion_9_proxy_bounds)
+
+
+def test_budget_overrun_fails_the_criterion(monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [])
+
+    @acceptance._criterion(99, "overrun", "deterministic", budget_s=-1.0)
+    def overrun(seed, fast):
+        return True, {}
+
+    result = overrun()
+    assert (result.cid, result.label, result.group) == (99, "overrun", "deterministic")
+    assert (result.passed, result.measured) == (False, {"runtime_exceeded": True})
+    assert acceptance.ALL_CRITERIA == [(overrun, "deterministic")]

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from airylab.airy import ai_values, airy_ai, first_airy_zero
+from airylab.airy import _asym_scaled_pos, ai_values
 from airylab.errors import DomainError
 
 mp.mp.dps = 30
@@ -30,30 +30,57 @@ def maclaurin_oracle(x: float, terms: int = 120) -> float:
     return float(c1 * f_sum - c2 * g_sum)
 
 
+def ai(x: float) -> float:
+    return float(ai_values(np.array([x]))[0])
+
+
+def first_zero_by_bisection() -> float:
+    """Largest zero of Ai, by sign-change bisection on [-3, -2]."""
+    lo, hi = -3.0, -2.0
+    flo = ai(lo)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        fm = ai(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
+def scaled(x: float) -> float:
+    """Ai(x) exp(+(2/3) x^{3/2}) from the asymptotic branch (x > 8)."""
+    return float(_asym_scaled_pos(np.array([x]))[0])
+
+
 class TestPointValues:
     def test_origin(self):
-        assert airy_ai(0.0).value == pytest.approx(AI_ZERO_VALUE, abs=1e-15)
-        assert airy_ai(0.0).value == pytest.approx(maclaurin_oracle(0.0), abs=1e-15)
+        assert ai(0.0) == pytest.approx(AI_ZERO_VALUE, abs=1e-15)
+        assert ai(0.0) == pytest.approx(maclaurin_oracle(0.0), abs=1e-15)
 
     def test_first_zero_by_bisection(self):
-        zero = first_airy_zero()
+        zero = first_zero_by_bisection()
         assert zero == pytest.approx(FIRST_ZERO, abs=1e-12)
-        assert abs(airy_ai(zero).value) < 1e-10
+        assert abs(ai(zero)) < 1e-10
 
     def test_against_series_oracle_inside_switch(self):
         for x in [-7.5, -5.0, -2.3, -0.7, 0.0, 1.3, 4.0, 7.9]:
-            assert airy_ai(x).value == pytest.approx(maclaurin_oracle(x), abs=1e-13)
+            assert ai(x) == pytest.approx(maclaurin_oracle(x), abs=1e-13)
 
     def test_against_mpmath_through_twenty(self):
         for x in np.linspace(-20.0, 20.0, 81):
             exact = float(mp.airyai(float(x)))
-            assert airy_ai(float(x)).value == pytest.approx(exact, abs=1e-12)
+            assert ai(float(x)) == pytest.approx(exact, abs=1e-12)
 
     def test_branch_overlap_at_switch(self):
         # both branches stay within 1e-12 of truth near the switch point
         for x in [7.99, 8.0, 8.01, -7.99, -8.0, -8.01]:
             exact = float(mp.airyai(x))
-            assert airy_ai(x).value == pytest.approx(exact, abs=1e-12)
+            assert ai(x) == pytest.approx(exact, abs=1e-12)
 
     def test_series_asymptotic_overlap_direct(self):
         # the two evaluation branches agree with each other at the switch
@@ -67,7 +94,7 @@ class TestPointValues:
         assert abs(float(_series(xs)[0]) - float(_asym_neg(xs)[0])) <= 1e-12
 
     def test_positive_axis_decay_monotone(self):
-        vals = [airy_ai(float(x)).value for x in range(1, 11)]
+        vals = [ai(float(x)) for x in range(1, 11)]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -75,18 +102,16 @@ class TestPointValues:
 class TestScaledRepresentation:
     def test_log_scaled_valid_far_right(self):
         for x in [25.0, 40.0, 56.0]:
-            scaled = airy_ai(x).log_scaled_value
             exact = float(mp.airyai(x) * mp.exp(mp.mpf(2) / 3 * mp.mpf(x) ** mp.mpf("1.5")))
-            assert scaled == pytest.approx(exact, rel=1e-12)
+            assert scaled(x) == pytest.approx(exact, rel=1e-12)
 
     def test_value_and_scaled_consistent(self):
         x = 12.0
-        ev = airy_ai(x)
-        assert ev.value == pytest.approx(ev.log_scaled_value * math.exp(-(2 / 3) * x ** 1.5), rel=1e-13)
+        assert ai(x) == pytest.approx(scaled(x) * math.exp(-(2 / 3) * x ** 1.5), rel=1e-13)
 
     def test_value_positive_and_bounded_on_positive_axis(self):
         for x in np.linspace(0.0, 30.0, 61):
-            v = airy_ai(float(x)).value
+            v = ai(float(x))
             assert 0.0 < v <= AI_ZERO_VALUE + 1e-15
 
 
@@ -96,12 +121,12 @@ class TestInvariants:
         h = 1e-4
         for x in np.linspace(-5.0, 5.0, 41):
             x = float(x)
-            d2 = (airy_ai(x + h).value - 2 * airy_ai(x).value + airy_ai(x - h).value) / h ** 2
-            assert d2 == pytest.approx(x * airy_ai(x).value, abs=1e-6)
+            d2 = (ai(x + h) - 2 * ai(x) + ai(x - h)) / h ** 2
+            assert d2 == pytest.approx(x * ai(x), abs=1e-6)
 
     def test_rejects_non_finite(self):
         for bad in [math.nan, math.inf, -math.inf]:
             with pytest.raises(DomainError):
-                airy_ai(bad)
+                ai(bad)
         with pytest.raises(DomainError):
             ai_values(np.array([1.0, math.nan]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from airylab import airy, fredholm
+from airylab.airy import ai_values
 from airylab.errors import DomainError, IncompleteSpectrumError, ResolutionError
 from airylab.fredholm import (KernelParams, QuadratureGrid, airy_product_estimate,
                               clustered_nodes, determinant_vs_point_process, fredholm_det,
@@ -17,6 +18,12 @@ from airylab.sao import SaoConfig
 mp.mp.dps = 30
 
 
+def airy_kernel(x: float, y: float) -> float:
+    """Undeformed Airy kernel: int_0^40 Ai(x+r) Ai(y+r) dr on fredholm's r-panels."""
+    r, wr = fredholm._gl_panels(0.0, 40.0)
+    return float(np.dot(wr, ai_values(x + r) * ai_values(y + r)))
+
+
 class TestKernelEval:
     def test_symmetry_exact(self):
         params = KernelParams(s=1.0, t=1.0)
@@ -26,19 +33,15 @@ class TestKernelEval:
 
     def test_hard_edge_matches_classical_formula(self):
         # indicator weight reproduces (Ai Ai' - Ai' Ai)/(x - y)
-        params = KernelParams(s=1.0, t=1.0)
-        grid = kernel_grid(params, n_nodes=48)
         for x, y in [(0.3, 0.7), (1.0, 2.0), (0.05, 1.3)]:
-            got = kernel_eval(x, y, params, grid, hard_edge=True)
+            got = airy_kernel(x, y)
             exact = float((mp.airyai(x) * mp.airyai(y, 1) - mp.airyai(x, 1) * mp.airyai(y))
                           / (x - y))
             assert got == pytest.approx(exact, abs=1e-13)
 
     def test_hard_edge_diagonal(self):
-        params = KernelParams(s=1.0, t=1.0)
-        grid = kernel_grid(params, n_nodes=48)
         x = 0.8
-        got = kernel_eval(x, x, params, grid, hard_edge=True)
+        got = airy_kernel(x, x)
         exact = float(mp.airyai(x, 1) ** 2 - x * mp.airyai(x) ** 2)
         assert got == pytest.approx(exact, abs=1e-13)
 
@@ -64,13 +67,28 @@ class TestQuadratureGrid:
     def test_validation(self):
         with pytest.raises(DomainError):
             QuadratureGrid(nodes=np.array([0.0, 1.0]), weights=np.array([1.0]),
-                           r_cut_low=-40.0, r_cut_high=40.0)
+                           r_cut_low=-40.0, r_cut_high=40.0, x_max=1.0)
         with pytest.raises(DomainError):
             QuadratureGrid(nodes=np.array([1.0, 0.5]), weights=np.array([1.0, 1.0]),
-                           r_cut_low=-40.0, r_cut_high=40.0)
+                           r_cut_low=-40.0, r_cut_high=40.0, x_max=1.0)
         with pytest.raises(DomainError):
             QuadratureGrid(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]),
+                           r_cut_low=-40.0, r_cut_high=40.0, x_max=1.0)
+
+    def test_x_max_is_required(self):
+        with pytest.raises(TypeError):
+            QuadratureGrid(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]),
                            r_cut_low=-40.0, r_cut_high=40.0)
+
+    def test_hand_built_grid_refines_on_its_own_domain(self):
+        # the last of 64 nodes lies at 15.987; refining on [0, 15.987] in place
+        # of [0, 16] moved the determinant by 2e-8, past the 1e-8 gate
+        t = 0.5
+        nodes, weights = clustered_nodes(64)
+        grid = QuadratureGrid(nodes=nodes, weights=weights, r_cut_low=-40.0 / t ** (1.0 / 3.0),
+                              r_cut_high=40.0, x_max=16.0)
+        det = fredholm_det(KernelParams(s=7.3, t=t), grid)
+        assert det == pytest.approx(0.22615639391, abs=1e-10)
 
 
 class TestDeterminant:

@@ -15,8 +15,8 @@ from airylab.sao import (SaoConfig, ldp_estimate, optimal_drift_profile, riccati
                          sandwich_check, sao_spectrum, weighted_log_samples)
 from airylab.variational import DiscretizationParams
 
-# bisection zeros of Ai (airylab.airy.first_airy_zero locates the first; the
-# rest frozen from the same sign-change bisection run at 1e-12)
+# bisection zeros of Ai (test_airy.first_zero_by_bisection locates the first
+# on ai_values; the rest frozen from the same sign-change bisection at 1e-12)
 AIRY_LEVELS = [2.338107410459767, 4.087949444130970, 5.520559828095551,
                6.786708090071759]
 

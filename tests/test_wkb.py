@@ -1,4 +1,4 @@
-"""Min-partial-sum identity, Ky Fan characterization, WKB inequality."""
+"""Min-partial-sum identity, periodic pair spectra, WKB inequality."""
 import math
 
 import numpy as np
@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 from airylab.errors import DomainError
 from airylab.mc import spawn_rng
-from airylab.wkb import (PotentialProfile, eigensum_compare, fourier_mode_quadratic_forms,
-                         ky_fan_sum, min_partial_sum, periodic_hill_pair,
+from airylab.wkb import (PotentialProfile, min_partial_sum, periodic_hill_pair,
                          periodic_matrices, random_profile, wkb_compare)
 
 
 def linear_profile(c: float, xi: float = 1.0, grid_n: int = 64) -> PotentialProfile:
     grid = np.linspace(0.0, xi, grid_n + 1)
     return PotentialProfile(xi=xi, samples=c * grid, grid_n=grid_n)
+
+
+def eigensums(prof: PotentialProfile, n: int) -> tuple[float, float]:
+    """Sums of the n smallest eigenvalues of H and of H~."""
+    rough, flat = periodic_hill_pair(prof)
+    return float(rough.eigenvalues[:n].sum()), float(flat.eigenvalues[:n].sum())
 
 
 class TestMinPartialSum:
@@ -46,34 +51,6 @@ class TestMinPartialSum:
             r = float(rng.uniform(-50.0, 50.0))
             direct = -float(np.maximum(-(a + r), 0.0).sum())
             assert min_partial_sum(a, r) == pytest.approx(direct, rel=1e-12, abs=1e-9)
-
-
-class TestKyFan:
-    def test_zero_modes(self):
-        assert ky_fan_sum(np.diag([3.0, 1.0, 2.0]), 0) == 0.0
-
-    def test_diagonal_example(self):
-        assert ky_fan_sum(np.diag([3.0, 1.0, 2.0]), 2) == pytest.approx(3.0, rel=1e-14)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DomainError):
-            ky_fan_sum(np.array([[0.0, 1.0], [0.5, 0.0]]), 1)
-
-    def test_infimum_over_random_orthonormal_sets(self):
-        rng = spawn_rng(71, "kyfan")
-        for _ in range(20):
-            g = rng.standard_normal((8, 8))
-            m = 0.5 * (g + g.T)
-            n = int(rng.integers(1, 5))
-            best = ky_fan_sum(m, n)
-            for _ in range(10):
-                q, _ = np.linalg.qr(rng.standard_normal((8, n)))
-                trial = float(np.trace(q.T @ m @ q))
-                assert trial >= best - 1e-10
-            # eigenvector set achieves the bound
-            ev, vec = np.linalg.eigh(m)
-            achieved = float(np.trace(vec[:, :n].T @ m @ vec[:, :n]))
-            assert achieved == pytest.approx(best, abs=1e-10)
 
 
 class TestPeriodicPair:
@@ -167,14 +144,10 @@ class TestWkbInequality:
 
 
 class TestEigensumCompare:
-    def test_zero_modes(self):
-        prof = linear_profile(1.0, grid_n=32)
-        assert eigensum_compare(prof, 0) == (0.0, 0.0)
-
     def test_full_dimension_traces_equal(self):
         rng = spawn_rng(75, "fullsum")
         prof = random_profile(rng, grid_n=64)
-        lo, hi = eigensum_compare(prof, 64)
+        lo, hi = eigensums(prof, 64)
         assert lo == pytest.approx(hi, rel=1e-12)
 
     def test_inequality_all_orders(self):
@@ -182,17 +155,8 @@ class TestEigensumCompare:
         for _ in range(10):
             prof = random_profile(rng, grid_n=64)
             for n in range(0, 65, 8):
-                lo, hi = eigensum_compare(prof, n)
+                lo, hi = eigensums(prof, n)
                 assert lo <= hi + 1e-8 * (1.0 + abs(lo))
-
-    def test_fourier_modes_achieve_ky_fan_on_flat(self):
-        rng = spawn_rng(77, "fourier")
-        prof = random_profile(rng, grid_n=64)
-        _, flat = periodic_matrices(prof)
-        for n in [1, 2, 5, 8]:
-            direct = ky_fan_sum(flat, n)
-            via_modes = fourier_mode_quadratic_forms(prof, n)
-            assert via_modes == pytest.approx(direct, abs=1e-10 * (1 + abs(direct)))
 
 
 class TestProfileValidation:
