@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the Laplace parameter and cross-check determinant vs point process.
 
-One CSV row per s value: Nystrom determinant, Monte-Carlo estimate with
-standard error, and their sigma distance.
+One CSV row per s value: Nystrom determinant, control-variate Monte-Carlo
+estimate with standard error, their sigma distance, then the plain
+Monte-Carlo mean and standard error, the one-point-density check
+mean(Y) - E[Y] with its standard error, and the variance ratio of the
+control-variate samples to the plain ones.
 """
 import argparse
 import sys
@@ -28,10 +31,10 @@ def main() -> int:
     config = SaoConfig(beta=2.0, domain_l=args.domain_l, grid_n=args.grid_n, lambda_cap=cap)
     cases = [(s, args.t, args.factor_tol) for s in args.s]
     rows = determinant_vs_point_process(cases, config, args.samples, args.seed)
-    print("s,t,det,mc_mean,mc_stderr,sigma_distance")
+    print(",".join(["s,t,det,mc_mean,mc_stderr,sigma_distance", *rows[0][1].diagnostics()]))
     for s, (det, est, sigma) in zip(args.s, rows):
-        print(f"{s:.17g},{args.t:.17g},{det:.17g},{est.mean:.17g},"
-              f"{est.stderr:.17g},{sigma:.17g}")
+        values = [s, args.t, det, est.mean, est.stderr, sigma, *est.diagnostics().values()]
+        print(",".join(f"{v:.17g}" for v in values))
     return 0
 
 

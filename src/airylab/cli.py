@@ -130,7 +130,8 @@ def _cmd_fredholm(args: argparse.Namespace) -> tuple[int, str]:
             [(args.s, args.t, args.factor_tol)], cfg, args.samples, args.seed,
             n_nodes=args.grid_nodes, x_max=args.x_max)
         payload.update({"mc_mean": est.mean, "mc_stderr": est.stderr,
-                        "mc_samples": est.n_samples, "sigma_distance": sigma})
+                        "mc_samples": est.n_samples, "sigma_distance": sigma,
+                        **est.diagnostics()})
     else:
         params = KernelParams(s=args.s, t=args.t)
         det = fredholm_det(params, kernel_grid(params, n_nodes=args.grid_nodes, x_max=args.x_max))

@@ -78,10 +78,22 @@ class DiscretizationParams:
 
 
 def _depth_and_drift(z: float, beta: float, nu: float | np.ndarray):
-    """(c, v*) of the module docstring; nu may be a float or an array."""
+    """(c, v*) of the module docstring; nu may be a float or an array.
+
+    Raises DomainError for a beta > 0 so small or so large that the
+    formula's factors (beta pi/2)^2 and 4/(pi^2 beta^{3/2}) leave the
+    double range.
+    """
+    try:
+        k2 = (beta * math.pi / 2.0) ** 2
+        scale = 4.0 / (math.pi ** 2 * beta ** 1.5)
+    except (OverflowError, ZeroDivisionError):
+        k2 = scale = math.inf
+    if not (math.isfinite(k2) and math.isfinite(scale)):
+        raise DomainError(f"beta = {beta!r} puts the drift formula outside the double range")
     c = np.maximum(-z - nu, 0.0)
-    s = np.sqrt(1.0 + (beta * math.pi / 2.0) ** 2 * c)
-    return c, 4.0 / (math.pi ** 2 * beta ** 1.5) * (s - 1.0)
+    s = np.sqrt(1.0 + k2 * c)
+    return c, scale * (s - 1.0)
 
 
 def optimal_drift(p: DriftProblem) -> float:

@@ -208,11 +208,11 @@ RECORDED = {
     "sao ldp --z -1 --t 4 --samples 400 --seed 7": "7753dc7e0317c2bb",
     "sao ldp --z -1 --t 16 --samples 200 --seed 7": "d007bbd66894af64",
     "fredholm --s 1 --t 1": "86d86bdf291c585d",
-    "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7": "fbe631c44a48490a",
+    "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7": "70d92ac903710407",
     "wkb --trials 40 --grid-n 128 --seed 7": "90d7aa37624949a3",
     "scripts/ldp_trend.py --t 2 4 --samples 200": "6e042d45ac26f191",
-    "scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048": "7c9422767558ca94",
-    "scripts/fredholm_sweep.py --s 0.25 4 64 --t 2 --samples 50 --grid-n 2048": "65b6d349fcc0aba5",
+    "scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048": "425e2d9e785345e4",
+    "scripts/fredholm_sweep.py --s 0.25 4 64 --t 2 --samples 50 --grid-n 2048": "e6fe2d001ab0ecd9",
     "scripts/sandwich_scan.py --n 1 2 --samples 300": "45a1b6f06d5239fc",
     "report --skip mc --fast, runtime_s stripped": "36ba57c1e90d71f4",
 }

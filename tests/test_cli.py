@@ -119,6 +119,11 @@ class TestExitCodes:
         code = main(["variational", "--z", "0.5", "--beta", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("beta", ["1e-300", "1e300"])
+    def test_extreme_beta_is_a_domain_error(self, capsys, beta):
+        assert main(["variational", "--z", "-1", "--beta", beta]) == 1
+        assert capsys.readouterr().err.startswith("domain error:")
+
     def test_bad_beta_exit_one(self, capsys):
         code = main(["rate-fn", "--z-min", "-1", "--z-max", "0", "--steps", "2",
                      "--beta", "-1"])

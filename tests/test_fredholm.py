@@ -4,14 +4,17 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 
 from airylab import airy, fredholm
 from airylab.airy import ai_values
 from airylab.errors import DomainError, IncompleteSpectrumError, ResolutionError
 from airylab.fredholm import (KernelParams, QuadratureGrid, airy_product_estimate,
                               clustered_nodes, determinant_vs_point_process, fredholm_det,
-                              kernel_eval, kernel_grid, product_log_factors, proxy_f,
-                              proxy_psi, sample_sao2_spectra, truncation_threshold)
+                              kernel_eval, kernel_grid, linear_statistic_mean,
+                              product_log_factors, proxy_f, proxy_psi, sample_sao2_spectra,
+                              truncation_threshold)
+from airylab.hill import SpectrumSample
 from airylab.mc import spawn_rng
 from airylab.sao import SaoConfig
 
@@ -257,6 +260,103 @@ class TestProductSide:
                                                             n_nodes=64)
         assert abs(det - est.mean) <= 3.0 * est.stderr
         assert sigma == abs(det - est.mean) / est.stderr
+
+
+def linear_mean_oracle(params: KernelParams, lam_star: float) -> float:
+    """E[Y] as int rho(lambda) log 1/(1 + s e^{-t^{1/3} lambda}) over [-20, lam_star].
+
+    rho(lambda) = (Ai'^2 - x Ai^2)(-lambda) from scipy.special.airy, on a
+    composite 20-point Gauss-Legendre rule with panels of length <= 0.25;
+    rho(lambda) < 1e-52 below -20.
+    """
+    xg, wg = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(-20.0, lam_star, int(math.ceil((lam_star + 20.0) / 0.25)) + 1)
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    lam = (mids[:, None] + halves[:, None] * xg).ravel()
+    w = (halves[:, None] * wg).ravel()
+    ai, aip, _, _ = scipy.special.airy(-lam)
+    rho = aip ** 2 + lam * ai ** 2
+    return float(np.dot(w, rho * -np.log1p(params.s * np.exp(-params.t13 * lam))))
+
+
+class TestLinearStatisticMean:
+    @pytest.mark.parametrize("s, t, factor_tol", [(1.0, 1.0, 1e-15), (0.5, 1.0, 1e-15),
+                                                  (2.0, 0.5, 1e-12), (64.0, 2.0, 1e-12)])
+    def test_matches_the_scipy_airy_density(self, s, t, factor_tol):
+        params = KernelParams(s=s, t=t)
+        lam_star = truncation_threshold(params, factor_tol)
+        assert linear_statistic_mean(params, lam_star) == pytest.approx(
+            linear_mean_oracle(params, lam_star), rel=1e-12)
+
+    def test_vanishes_with_s_at_the_airy_laplace_slope(self):
+        # log(1 + x) = x + O(x^2), so E[Y]/s -> -int rho(lambda) e^{-lambda} d lambda,
+        # which is -e^{1/12} / (2 sqrt(pi)) for the Airy process (t = 1)
+        slope = -math.exp(1.0 / 12.0) / (2.0 * math.sqrt(math.pi))
+        for s in (1e-4, 1e-6, 1e-8):
+            params = KernelParams(s=s, t=1.0)
+            got = linear_statistic_mean(params, truncation_threshold(params, 1e-15 * s))
+            assert got / s == pytest.approx(slope, rel=2.0 * s)
+
+    def test_decreasing_in_s(self):
+        values = []
+        for s in np.geomspace(1e-3, 1e3, 13):
+            params = KernelParams(s=float(s), t=1.0)
+            values.append(linear_statistic_mean(params, truncation_threshold(params, 1e-15)))
+        assert np.all(np.diff(values) < 0.0)
+        assert values[-1] < values[0] < 0.0
+
+    def test_no_density_below_the_truncation(self):
+        params = KernelParams(s=1e-12, t=1.0)
+        assert linear_statistic_mean(params, -20.0) == 0.0
+
+
+class TestControlVariate:
+    def _spectra(self, n: int, seed: int) -> list[SpectrumSample]:
+        rng = spawn_rng(seed, "hand-built spectra")
+        return [SpectrumSample(eigenvalues=rng.uniform(-3.0, 30.0, int(rng.integers(0, 25))),
+                               cap=36.0) for _ in range(n)]
+
+    def test_mean_and_stderr_of_the_control_variate_samples(self):
+        params = KernelParams(s=2.0, t=0.5)
+        spectra = self._spectra(40, 65)
+        est = airy_product_estimate(spectra, params, 1e-12, 65)
+        lam_star = truncation_threshold(params, 1e-12)
+        y_mean = linear_statistic_mean(params, lam_star)
+        ys = np.array([-np.log1p(params.s * np.exp(-params.t13 * sp.eigenvalues[
+            sp.eigenvalues <= lam_star])).sum() for sp in spectra])
+        ps = np.exp(ys)
+        b = math.exp(y_mean)
+        cv = ps - b * (ys - y_mean)
+        assert est.mean == pytest.approx(ps.mean() - b * (ys.mean() - y_mean), rel=1e-14)
+        assert est.stderr == pytest.approx(cv.std(ddof=1) / math.sqrt(cv.size), rel=1e-12)
+        assert est.plain.mean == pytest.approx(ps.mean(), rel=1e-14)
+        assert est.plain.stderr == pytest.approx(ps.std(ddof=1) / math.sqrt(ps.size), rel=1e-12)
+        assert est.linear_gap.mean == pytest.approx(ys.mean() - y_mean, rel=1e-12)
+        assert est.variance_ratio == pytest.approx(cv.var(ddof=1) / ps.var(ddof=1), rel=1e-12)
+        assert est.n_samples == 40
+        assert est.diagnostics() == {
+            "plain_mean": est.plain.mean, "plain_stderr": est.plain.stderr,
+            "linear_gap": est.linear_gap.mean, "linear_gap_stderr": est.linear_gap.stderr,
+            "variance_ratio": est.variance_ratio}
+
+    def test_eigenvalues_above_the_truncation_are_ignored(self):
+        params = KernelParams(s=1.0, t=1.0)
+        lam_star = truncation_threshold(params, 1e-6)
+        low = [SpectrumSample(eigenvalues=[-1.0, 0.5, 2.0], cap=20.0),
+               SpectrumSample(eigenvalues=[0.1, 1.0], cap=20.0)]
+        high = [SpectrumSample(eigenvalues=[*sp.eigenvalues, lam_star + 0.5], cap=20.0)
+                for sp in low]
+        assert airy_product_estimate(high, params, 1e-6, 66) == \
+            airy_product_estimate(low, params, 1e-6, 66)
+
+    def test_same_seed_same_bits(self):
+        params = KernelParams(s=1.0, t=1.0)
+        cfg = SaoConfig(beta=2.0, domain_l=16.0, grid_n=2 ** 11, lambda_cap=6.0)
+        first, again, other = (airy_product_estimate(sample_sao2_spectra(cfg, 30, seed),
+                                                     params, 1e-2, seed)
+                               for seed in (67, 67, 68))
+        assert first == again
+        assert (first.mean, first.stderr) != (other.mean, other.stderr)
 
 
 class TestProxies:

@@ -70,11 +70,22 @@ class TestScaled:
         with pytest.raises(DomainError):
             phi_minus_scaled(-2.0, -1.0)
 
+    @pytest.mark.parametrize("beta", [1e-300, 1e-62, 1e155, 1e300])
+    def test_beta_outside_the_double_range_is_a_domain_error(self, beta):
+        # (2/beta)^5 or (beta/2)^2 overflows
+        with pytest.raises(DomainError):
+            phi_minus_scaled(beta, -1.0)
+
 
 class TestShape:
     def test_rejects_positive_z(self):
         with pytest.raises(DomainError):
             phi_minus(1e-8)
+
+    def test_overflowing_depth_is_a_domain_error(self):
+        assert math.isfinite(phi_minus(-1e122))
+        with pytest.raises(DomainError):
+            phi_minus(-1e124)
 
     def test_monotone_decreasing_in_z(self):
         zs = np.arange(-10.0, 0.0, 1e-3)

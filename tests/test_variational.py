@@ -149,3 +149,13 @@ class TestParams:
         for beta in (0.0, -1.0):
             with pytest.raises(DomainError):
                 riemann_sum_value(-1.0, beta, params)
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-206, 1e154, 1e300])
+    def test_beta_outside_the_double_range_is_a_domain_error(self, beta):
+        # beta^{3/2} underflows or (beta pi/2)^2 overflows in the drift formula
+        params = DiscretizationParams(t=10.0, a=0.0, n=3)
+        for call in (lambda: optimal_drift(DriftProblem(z=-1.0, beta=beta, nu=0.0)),
+                     lambda: variational_value(-1.0, beta),
+                     lambda: riemann_sum_value(-1.0, beta, params)):
+            with pytest.raises(DomainError):
+                call()
