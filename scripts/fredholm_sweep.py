@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the Laplace parameter and cross-check determinant vs point process.
 
-One CSV row per s value: Nystrom determinant, control-variate Monte-Carlo
-estimate with standard error, their sigma distance, then the plain
-Monte-Carlo mean and standard error, the one-point-density check
-mean(Y) - E[Y] with its standard error, and the variance ratio of the
+One CSV row per s value: Nystrom determinant, second-order control-variate
+Monte-Carlo estimate with standard error, their sigma distance, then the
+plain Monte-Carlo mean and standard error, the spectra's one-point check
+mean(Y) - E[Y] and two-point check mean((Y - E[Y])^2) - Var(Y) for
+Y = log P, each with its standard error, and the variance ratio of the
 control-variate samples to the plain ones.
 """
 import argparse

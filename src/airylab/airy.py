@@ -35,19 +35,27 @@ _U = np.array(_U)
 
 
 def _series(xs: np.ndarray) -> np.ndarray:
-    """Maclaurin series in longdouble; valid (and used) for |x| <= _SWITCH."""
+    """Maclaurin series in longdouble; valid (and used) for |x| <= _SWITCH.
+
+    The sum stops once both terms of the element of largest |x| are below
+    1e-22.  Each rounded step is monotone in |x|, so those are the largest
+    terms of the array and no element stops with a larger term.
+    """
     x = xs.astype(_LD)
     x3 = x * x * x
     f_term = np.ones_like(x)
     g_term = x.copy()
     f_sum = f_term.copy()
     g_sum = g_term.copy()
+    widest = int(np.argmax(np.abs(x)))
     for k in range(1, _SERIES_KMAX):
-        f_term = f_term * x3 / _LD((3 * k) * (3 * k - 1))
-        g_term = g_term * x3 / _LD((3 * k + 1) * (3 * k))
+        f_term *= x3
+        f_term /= _LD((3 * k) * (3 * k - 1))
+        g_term *= x3
+        g_term /= _LD((3 * k + 1) * (3 * k))
         f_sum += f_term
         g_sum += g_term
-        if max(np.abs(f_term).max(), np.abs(g_term).max(), 0.0) < 1e-22:
+        if max(abs(f_term[widest]), abs(g_term[widest])) < 1e-22:
             break
     return (_AI0 * f_sum - _AIP0 * g_sum).astype(float)
 

@@ -17,15 +17,29 @@ over spectra of the beta = 2 stochastic Airy operator, which
 airy_product_estimate estimates by Monte Carlo; determinant_vs_point_process
 cross-checks the two routes.
 
-P = e^Y is nearly linear in the linear statistic Y = log P, whose mean is
-exact: E[Y] is Y's summand integrated against the Airy one-point density
-rho(lambda) = int_0^inf Ai(r - lambda)^2 dr (linear_statistic_mean).  So
-airy_product_estimate averages the control-variate samples
-P - e^{E[Y]} (Y - E[Y]).  Their mean is E[P] for any fixed coefficient, and
-e^{E[Y]} is fixed (the slope of e^Y at E[Y]), never fitted to the samples,
-so the estimate stays unbiased; its variance is 0.05-0.09 of the plain
-mean's at criterion 3's points.  The plain mean and the check
-mean(Y) - E[Y] of the spectra's one-point density come with it.
+P is multilinear in its factors' deviations from 1, so it is a finite sum
+of their elementary symmetric sums: with
+phi(lambda) = 1 - 1/(1 + s e^{-t^{1/3} lambda}),
+
+    P = prod_i (1 - phi(lambda_i)) = 1 - S1 + S2 - S3 + ...,
+
+where S_k is the k-th elementary symmetric sum of the phi(lambda_i).  The
+means of S1 and S2 are exact integrals of the Airy kernel's one- and
+two-point functions (product_series_means), the first two terms of the
+Fredholm series of det(I - K_{s,t}).  So airy_product_estimate averages the
+second-order control-variate samples
+
+    P + (S1 - E[S1]) - (S2 - E[S2]),
+
+whose mean is E[P] for any fixed coefficients.  The coefficients are those
+of the series, never fitted to the samples, so the estimate stays unbiased;
+what is left to sample is -S3 + S4 - ..., which lies in [-S3, 0].  At
+criterion 3's points the samples' variance is 1.5e-5 to 0.016 of that of
+the first-order control variate P - e^{E[Y]} (Y - E[Y]), Y = log P, and
+8e-7 to 1.3e-3 of P's.  The plain mean comes with it, as do two checks of
+the spectra against the Airy process through Y: mean(Y) - E[Y] against the
+one-point density (linear_statistic_mean) and mean((Y - E[Y])^2) - Var(Y)
+against the two-point function (linear_statistic_variance).
 """
 from __future__ import annotations
 
@@ -45,7 +59,8 @@ _R_CUT = 40.0
 _X_MAX_DEFAULT = 16.0
 _CLUSTER_ALPHA = 2.0
 _MIN_NODES = 40
-# Ai(u)^2 < 1e-31 beyond u = 14, so linear_statistic_mean's integral stops there
+# Ai(u)^2 < 1e-31 beyond u = 14, so the integrals of linear_statistic_mean and of
+# the Airy kernel (_airy_kernel) stop there
 _AIRY_U_MAX = 14.0
 
 
@@ -233,7 +248,12 @@ def product_log_factors(eigenvalues: np.ndarray, params: KernelParams) -> float:
 
 
 def truncation_threshold(params: KernelParams, factor_tol: float) -> float:
-    """Spectrum level above which each product factor is within factor_tol of 1."""
+    """Spectrum level above which each product factor is within factor_tol of 1.
+
+    factor_tol must lie in (0, 1); DomainError otherwise.
+    """
+    if not 0.0 < factor_tol < 1.0:
+        raise DomainError(f"the factor tolerance must lie in (0, 1), got {factor_tol}")
     return (math.log(params.s) - math.log(factor_tol)) / params.t13
 
 
@@ -263,14 +283,76 @@ def linear_statistic_mean(params: KernelParams, lam_star: float) -> float:
     return float(np.dot(wu, ai_values(u) ** 2 * f))
 
 
+def _airy_kernel(lam_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weights and Airy kernel K(x_i, x_j) on [-lam_star, 14].
+
+    K(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y) is the
+    Christoffel-Darboux form, with diagonal K(x, x) = Ai'(x)^2 - x Ai(x)^2;
+    the nodes are the Gauss-Legendre panels of linear_statistic_mean.
+    """
+    # imported here so that the commands that never call it do not load scipy.special
+    from scipy.special import airy
+
+    x, wx = _gl_panels(-lam_star, _AIRY_U_MAX)
+    ai, aip, _, _ = airy(x)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    k = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
+    np.fill_diagonal(k, aip ** 2 - x * ai ** 2)
+    return x, wx, k
+
+
+def linear_statistic_variance(params: KernelParams, lam_star: float) -> float:
+    """Var(Y) for the Y of linear_statistic_mean, truncated at the same lam_star.
+
+    The Airy points are x_i = -lambda_i, so Y = sum over x_i >= -lam_star of
+    G(x_i), G(x) = -log(1 + s e^{t^{1/3} x}).  For a determinantal process
+    (Soshnikov, Russian Math. Surveys 55, 2000)
+
+        Var(Y) = int G^2 K(x, x) dx - int int G(x) G(y) K(x, y)^2 dx dy
+
+    over [-lam_star, 14]^2, with the Airy kernel K of _airy_kernel.
+    """
+    if -lam_star >= _AIRY_U_MAX:
+        return 0.0
+    x, wx, k = _airy_kernel(lam_star)
+    g = -np.logaddexp(0.0, math.log(params.s) + params.t13 * x)
+    wg = wx * g
+    return float(np.dot(wg * g, np.diag(k)) - wg @ (k ** 2) @ wg)
+
+
+def product_series_means(params: KernelParams, lam_star: float) -> tuple[float, float]:
+    """E[S1] and E[S2], the first two terms of P = 1 - S1 + S2 - S3 + ...
+
+    With phi(lambda) = 1 - 1/(1 + s e^{-t^{1/3} lambda}), the product is
+    P = prod_i (1 - phi(lambda_i)), and S_k is the k-th elementary symmetric
+    sum of the phi(lambda_i), lambda_i <= lam_star: S1 = sum_i phi(lambda_i)
+    and S2 = sum_{i<j} phi(lambda_i) phi(lambda_j).  Their means are the
+    first two terms of the Fredholm series of det(I - K_{s,t}):
+
+        E[S1] = int phi K(x, x) dx,
+        E[S2] = (E[S1]^2 - int int phi(x) phi(y) K(x, y)^2 dx dy) / 2,
+
+    with phi taken at lambda = -x over [-lam_star, 14] and K of _airy_kernel.
+    """
+    if -lam_star >= _AIRY_U_MAX:
+        return 0.0, 0.0
+    x, wx, k = _airy_kernel(lam_star)
+    u = math.log(params.s) + params.t13 * x
+    wphi = wx * np.exp(u - np.logaddexp(0.0, u))
+    mean_s1 = float(np.dot(wphi, np.diag(k)))
+    return mean_s1, 0.5 * (mean_s1 ** 2 - float(wphi @ (k ** 2) @ wphi))
+
+
 @dataclass(frozen=True)
 class ProductEstimate:
     """Control-variate estimate of E[P] and the plain estimates it came from.
 
-    mean and stderr are those of the samples P - e^{E[Y]} (Y - E[Y]) (see
-    the module docstring); plain is the estimate from P alone and
-    linear_gap that of Y - E[Y], whose mean is 0 when the spectra follow
-    the Airy one-point density.
+    mean and stderr are those of the samples
+    P + (S1 - E[S1]) - (S2 - E[S2]) (see the module docstring); plain is
+    the estimate from P alone, linear_gap that of D = Y - E[Y] and
+    quadratic_gap that of D^2 - Var(Y).  Both gaps have mean 0 when the
+    spectra follow the Airy point process.
     """
 
     mean: float
@@ -278,6 +360,7 @@ class ProductEstimate:
     n_samples: int
     plain: McEstimate
     linear_gap: McEstimate
+    quadratic_gap: McEstimate
 
     @property
     def variance_ratio(self) -> float:
@@ -287,10 +370,12 @@ class ProductEstimate:
         return (self.stderr / self.plain.stderr) ** 2
 
     def diagnostics(self) -> dict:
-        """The plain estimate, the one-point-density check and the variance ratio."""
+        """The plain estimate, the one- and two-point checks and the variance ratio."""
         return {"plain_mean": self.plain.mean, "plain_stderr": self.plain.stderr,
                 "linear_gap": self.linear_gap.mean,
                 "linear_gap_stderr": self.linear_gap.stderr,
+                "quadratic_gap": self.quadratic_gap.mean,
+                "quadratic_gap_stderr": self.quadratic_gap.stderr,
                 "variance_ratio": self.variance_ratio}
 
 
@@ -298,27 +383,37 @@ def airy_product_estimate(spectra: list[SpectrumSample], params: KernelParams,
                           factor_tol: float, seed: int) -> ProductEstimate:
     """Control-variate estimate of E[P] over precomputed spectra.
 
-    P and Y = log P take the eigenvalues up to lam_star =
-    truncation_threshold(params, factor_tol), and E[Y] is integrated up to
-    the same lam_star, so the control variate Y - E[Y] has mean 0 exactly
-    and the estimate is unbiased; its coefficient e^{E[Y]} is fixed, not
-    fitted.  Each spectrum must reach lam_star.
+    P, S1, S2 and Y = log P take the eigenvalues up to lam_star =
+    truncation_threshold(params, factor_tol), and their exact moments are
+    integrated up to the same lam_star, so the control variates S1 - E[S1]
+    and S2 - E[S2] have mean 0 exactly and the estimate is unbiased; their
+    coefficients are those of the series P = 1 - S1 + S2 - ..., not fitted.
+    Each spectrum must reach lam_star.
     """
     lam_star = truncation_threshold(params, factor_tol)
-    ys = np.empty(len(spectra))
+    log_s = math.log(params.s)
+    ys, s1, s2 = np.empty((3, len(spectra)))
     for i, spec in enumerate(spectra):
         if spec.cap < lam_star:
             raise IncompleteSpectrumError(
                 f"factors stay {factor_tol} away from 1 up to {lam_star:.2f}, "
                 f"above the spectrum cap {spec.cap}")
-        ys[i] = product_log_factors(spec.eigenvalues[spec.eigenvalues <= lam_star], params)
-    y_mean = linear_statistic_mean(params, lam_star)
+        eigenvalues = spec.eigenvalues[spec.eigenvalues <= lam_star]
+        ys[i] = product_log_factors(eigenvalues, params)
+        u = log_s - params.t13 * eigenvalues
+        phi = np.exp(u - np.logaddexp(0.0, u))
+        s1[i] = phi.sum()
+        s2[i] = 0.5 * (s1[i] ** 2 - np.dot(phi, phi))
     ps = np.exp(ys)
-    gaps = ys - y_mean
-    cv = estimate_from_samples(ps - math.exp(y_mean) * gaps, seed)
-    return ProductEstimate(mean=cv.mean, stderr=cv.stderr, n_samples=cv.n_samples,
-                           plain=estimate_from_samples(ps, seed),
-                           linear_gap=estimate_from_samples(gaps, seed))
+    s1_mean, s2_mean = product_series_means(params, lam_star)
+    gaps = ys - linear_statistic_mean(params, lam_star)
+    cv = estimate_from_samples(ps + (s1 - s1_mean) - (s2 - s2_mean), seed)
+    return ProductEstimate(
+        mean=cv.mean, stderr=cv.stderr, n_samples=cv.n_samples,
+        plain=estimate_from_samples(ps, seed),
+        linear_gap=estimate_from_samples(gaps, seed),
+        quadratic_gap=estimate_from_samples(
+            gaps ** 2 - linear_statistic_variance(params, lam_star), seed))
 
 
 def sample_sao2_spectra(config: SaoConfig, n_samples: int, seed: int) -> list[SpectrumSample]:
@@ -336,11 +431,14 @@ def determinant_vs_point_process(cases: list[tuple[float, float, float]],
 
     All cases share one batch of SAO spectra.  The identity with the
     Fredholm determinant holds for the beta = 2 operator only; other beta
-    values are rejected.
+    values are rejected, as is any factor tolerance outside (0, 1), before
+    any determinant or spectrum is computed.
     """
     if sao_config.beta != 2.0:
         raise DomainError("the point-process identity requires beta = 2")
     kernels = [KernelParams(s=s, t=t) for s, t, _ in cases]
+    for params, (_, _, factor_tol) in zip(kernels, cases):
+        truncation_threshold(params, factor_tol)
     dets = [fredholm_det(params, kernel_grid(params, n_nodes=n_nodes, x_max=x_max))
             for params in kernels]
     spectra = sample_sao2_spectra(sao_config, n_samples, seed)

@@ -124,6 +124,16 @@ class TestInvariants:
             d2 = (ai(x + h) - 2 * ai(x) + ai(x - h)) / h ** 2
             assert d2 == pytest.approx(x * ai(x), abs=1e-6)
 
+    @pytest.mark.parametrize("order", ["drawn", "by |x|"])
+    def test_array_equals_its_chunks_bit_for_bit(self, order):
+        # a value must not depend on the array around it, though each chunk's
+        # series stops at its own largest |x|
+        xs = np.random.default_rng(7).uniform(-9.0, 9.0, 3000)
+        if order == "by |x|":
+            xs = xs[np.argsort(np.abs(xs))]
+        chunks = np.array_split(xs, 37)
+        assert np.array_equal(ai_values(xs), np.concatenate([ai_values(c) for c in chunks]))
+
     def test_rejects_non_finite(self):
         for bad in [math.nan, math.inf, -math.inf]:
             with pytest.raises(DomainError):

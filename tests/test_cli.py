@@ -138,6 +138,15 @@ class TestExitCodes:
         assert main(["fredholm", "--s", "1", "--t", "1", "--grid-n", nodes]) == 1
         assert capsys.readouterr().err.startswith("domain error:")
 
+    @pytest.mark.parametrize("factor_tol", ["0", "-1", "2"])
+    def test_factor_tolerance_outside_the_unit_interval_is_a_domain_error(self, capsys,
+                                                                          factor_tol):
+        assert main(["fredholm", "compare", "--s", "1", "--t", "1",
+                     "--factor-tol", factor_tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:")
+        assert captured.out == ""
+
     def test_plain_value_error_is_not_invalid_input(self, capsys, monkeypatch):
         def broken(args):
             raise ValueError("a bug, not a user error")

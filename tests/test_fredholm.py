@@ -1,4 +1,5 @@
 """Kernel evaluation, Nystrom determinant and the point-process cross-check."""
+import itertools
 import math
 
 import mpmath as mp
@@ -12,7 +13,8 @@ from airylab.errors import DomainError, IncompleteSpectrumError, ResolutionError
 from airylab.fredholm import (KernelParams, QuadratureGrid, airy_product_estimate,
                               clustered_nodes, determinant_vs_point_process, fredholm_det,
                               kernel_eval, kernel_grid, linear_statistic_mean,
-                              product_log_factors, proxy_f, proxy_psi, sample_sao2_spectra,
+                              linear_statistic_variance, product_log_factors,
+                              product_series_means, proxy_f, proxy_psi, sample_sao2_spectra,
                               truncation_threshold)
 from airylab.hill import SpectrumSample
 from airylab.mc import spawn_rng
@@ -226,6 +228,21 @@ class TestProductSide:
         factor = 1.0 / (1.0 + params.s * math.exp(-params.t13 * (lam_star + 0.5)))
         assert 1.0 - factor <= 1e-15
 
+    @pytest.mark.parametrize("factor_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+    def test_factor_tolerance_outside_the_unit_interval_is_a_domain_error(self, factor_tol):
+        with pytest.raises(DomainError):
+            truncation_threshold(KernelParams(s=1.0, t=1.0), factor_tol)
+
+    def test_bad_factor_tolerance_rejected_before_any_determinant_or_spectrum(self, monkeypatch):
+        def costly(*args, **kwargs):
+            raise AssertionError("computed before the factor tolerances were checked")
+
+        monkeypatch.setattr(fredholm, "fredholm_det", costly)
+        monkeypatch.setattr(fredholm, "sample_sao2_spectra", costly)
+        cfg = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 12, lambda_cap=35.0)
+        with pytest.raises(DomainError):
+            determinant_vs_point_process([(1.0, 1.0, 1e-15), (2.0, 0.5, 2.0)], cfg, 10, 62)
+
     def test_product_log_factors_stable(self):
         params = KernelParams(s=2.0, t=1.0)
         ev = np.array([-800.0, 0.0, 5.0])
@@ -310,6 +327,63 @@ class TestLinearStatisticMean:
         assert linear_statistic_mean(params, -20.0) == 0.0
 
 
+def gram_kernel(lam_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and the Airy kernel in Gram form, K(x, y) = int_0^R Ai(x+r) Ai(y+r) dr.
+
+    Ai comes from ai_values; the x and y nodes are Gauss-Legendre panels of
+    length 1 and order 20 on [-lam_star, 14], finer than fredholm's, and
+    R = 14 + lam_star puts every x + r past 14.
+    """
+    x, wx = fredholm._gl_panels(-lam_star, 14.0, panel_len=1.0, order=20)
+    r, wr = fredholm._gl_panels(0.0, 14.0 + lam_star)
+    a = ai_values(x[:, None] + r[None, :])
+    return x, wx, (a * wr) @ a.T
+
+
+ORACLE_CASES = [(1.0, 1.0, 1e-15), (0.5, 1.0, 1e-15), (2.0, 0.5, 1e-12), (64.0, 2.0, 1e-12)]
+
+
+class TestLinearStatisticVariance:
+    @pytest.mark.parametrize("s, t, factor_tol", ORACLE_CASES)
+    def test_matches_the_gram_form_of_the_airy_kernel(self, s, t, factor_tol):
+        params = KernelParams(s=s, t=t)
+        lam_star = truncation_threshold(params, factor_tol)
+        x, wx, k = gram_kernel(lam_star)
+        g = -np.log1p(params.s * np.exp(params.t13 * x))
+        oracle = np.dot(wx * g * g, np.diag(k)) - (wx * g) @ k ** 2 @ (wx * g)
+        assert linear_statistic_variance(params, lam_star) == pytest.approx(oracle, rel=1e-10)
+
+    def test_no_density_below_the_truncation(self):
+        params = KernelParams(s=1e-12, t=1.0)
+        assert linear_statistic_variance(params, -20.0) == 0.0
+
+
+class TestProductSeriesMeans:
+    @pytest.mark.parametrize("s, t, factor_tol", ORACLE_CASES)
+    def test_matches_the_gram_form_of_the_airy_kernel(self, s, t, factor_tol):
+        params = KernelParams(s=s, t=t)
+        lam_star = truncation_threshold(params, factor_tol)
+        x, wx, k = gram_kernel(lam_star)
+        wphi = wx / (1.0 + np.exp(-math.log(params.s) - params.t13 * x))
+        s1 = np.dot(wphi, np.diag(k))
+        s2 = 0.5 * (s1 ** 2 - wphi @ k ** 2 @ wphi)
+        assert product_series_means(params, lam_star) == pytest.approx((s1, s2), rel=1e-10)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_second_order_fredholm_series_matches_the_determinant(self, t):
+        # det = 1 - E[S1] + E[S2] - E[S3] + ...; at s = 0.1, E[S2] is 6e-5 to
+        # 4e-4 and the terms from E[S3] on are below 1e-6
+        params = KernelParams(s=0.1, t=t)
+        s1, s2 = product_series_means(params, truncation_threshold(params, 1e-15))
+        det = fredholm_det(params, kernel_grid(params))
+        assert abs(det - (1.0 - s1 + s2)) <= 2e-6
+        assert abs(det - (1.0 - s1)) > 100 * abs(det - (1.0 - s1 + s2))
+
+    def test_nothing_below_the_truncation(self):
+        params = KernelParams(s=1e-12, t=1.0)
+        assert product_series_means(params, -20.0) == (0.0, 0.0)
+
+
 class TestControlVariate:
     def _spectra(self, n: int, seed: int) -> list[SpectrumSample]:
         rng = spawn_rng(seed, "hand-built spectra")
@@ -321,23 +395,47 @@ class TestControlVariate:
         spectra = self._spectra(40, 65)
         est = airy_product_estimate(spectra, params, 1e-12, 65)
         lam_star = truncation_threshold(params, 1e-12)
+        s1_mean, s2_mean = product_series_means(params, lam_star)
         y_mean = linear_statistic_mean(params, lam_star)
-        ys = np.array([-np.log1p(params.s * np.exp(-params.t13 * sp.eigenvalues[
-            sp.eigenvalues <= lam_star])).sum() for sp in spectra])
-        ps = np.exp(ys)
-        b = math.exp(y_mean)
-        cv = ps - b * (ys - y_mean)
-        assert est.mean == pytest.approx(ps.mean() - b * (ys.mean() - y_mean), rel=1e-14)
+        y_var = linear_statistic_variance(params, lam_star)
+        kept = [sp.eigenvalues[sp.eigenvalues <= lam_star] for sp in spectra]
+        factors = [1.0 / (1.0 + params.s * np.exp(-params.t13 * ev)) for ev in kept]
+        ps = np.array([f.prod() for f in factors])
+        s1 = np.array([(1.0 - f).sum() for f in factors])
+        s2 = np.array([sum((1.0 - f[i]) * (1.0 - f[j]) for i in range(f.size)
+                           for j in range(i + 1, f.size)) for f in factors])
+        d = np.log(ps) - y_mean
+        cv = ps + (s1 - s1_mean) - (s2 - s2_mean)
+        assert est.mean == pytest.approx(
+            ps.mean() + (s1.mean() - s1_mean) - (s2.mean() - s2_mean), rel=1e-14)
         assert est.stderr == pytest.approx(cv.std(ddof=1) / math.sqrt(cv.size), rel=1e-12)
         assert est.plain.mean == pytest.approx(ps.mean(), rel=1e-14)
         assert est.plain.stderr == pytest.approx(ps.std(ddof=1) / math.sqrt(ps.size), rel=1e-12)
-        assert est.linear_gap.mean == pytest.approx(ys.mean() - y_mean, rel=1e-12)
+        assert est.linear_gap.mean == pytest.approx(d.mean(), rel=1e-12)
+        assert est.quadratic_gap.mean == pytest.approx((d ** 2).mean() - y_var, rel=1e-12)
+        assert est.quadratic_gap.stderr == pytest.approx(
+            (d ** 2).std(ddof=1) / math.sqrt(d.size), rel=1e-12)
         assert est.variance_ratio == pytest.approx(cv.var(ddof=1) / ps.var(ddof=1), rel=1e-12)
         assert est.n_samples == 40
         assert est.diagnostics() == {
             "plain_mean": est.plain.mean, "plain_stderr": est.plain.stderr,
             "linear_gap": est.linear_gap.mean, "linear_gap_stderr": est.linear_gap.stderr,
+            "quadratic_gap": est.quadratic_gap.mean,
+            "quadratic_gap_stderr": est.quadratic_gap.stderr,
             "variance_ratio": est.variance_ratio}
+
+    def test_samples_lie_within_the_bonferroni_bounds(self):
+        # P + S1 - S2 - 1 = -S3 + S4 - ... lies in [-S3, 0] for factors in (0, 1)
+        params = KernelParams(s=2.0, t=0.5)
+        lam_star = truncation_threshold(params, 1e-12)
+        s1_mean, s2_mean = product_series_means(params, lam_star)
+        top = 1.0 - s1_mean + s2_mean
+        for sp in self._spectra(40, 69):
+            est = airy_product_estimate([sp, sp], params, 1e-12, 69)
+            phi = 1.0 - 1.0 / (1.0 + params.s * np.exp(
+                -params.t13 * sp.eigenvalues[sp.eigenvalues <= lam_star]))
+            s3 = sum(a * b * c for a, b, c in itertools.combinations(phi, 3))
+            assert top - s3 - 1e-12 <= est.mean <= top + 1e-12
 
     def test_eigenvalues_above_the_truncation_are_ignored(self):
         params = KernelParams(s=1.0, t=1.0)
