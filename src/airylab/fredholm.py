@@ -25,21 +25,25 @@ phi(lambda) = 1 - 1/(1 + s e^{-t^{1/3} lambda}),
 
 where S_k is the k-th elementary symmetric sum of the phi(lambda_i).  The
 means of S1 and S2 are exact integrals of the Airy kernel's one- and
-two-point functions (product_series_means), the first two terms of the
-Fredholm series of det(I - K_{s,t}).  So airy_product_estimate averages the
-second-order control-variate samples
+two-point functions, the first two terms of the Fredholm series of
+det(I - K_{s,t}).  So airy_product_estimate averages the second-order
+control-variate samples
 
     P + (S1 - E[S1]) - (S2 - E[S2]),
 
 whose mean is E[P] for any fixed coefficients.  The coefficients are those
 of the series, never fitted to the samples, so the estimate stays unbiased;
 what is left to sample is -S3 + S4 - ..., which lies in [-S3, 0].  At
-criterion 3's points the samples' variance is 1.5e-5 to 0.016 of that of
+criterion 3's points the samples' variance is 1.3e-5 to 0.014 of that of
 the first-order control variate P - e^{E[Y]} (Y - E[Y]), Y = log P, and
-8e-7 to 1.3e-3 of P's.  The plain mean comes with it, as do two checks of
-the spectra against the Airy process through Y: mean(Y) - E[Y] against the
-one-point density (linear_statistic_mean) and mean((Y - E[Y])^2) - Var(Y)
-against the two-point function (linear_statistic_variance).
+8e-7 to 1.3e-3 of P's.  They are heavy-tailed, though (kurtosis 150 to
+2,200): most of the variance sits in the rare spectra whose lowest
+eigenvalue is low, and a batch that misses them reports too small a
+stderr.  The same control variates make the estimate blind to errors in
+the spectra's one- and two-point functions, so two checks through Y come
+with it: mean(Y) - E[Y] against the one-point density and
+mean((Y - E[Y])^2) - Var(Y) against the two-point function.  airy_moments
+computes E[Y], Var(Y), E[S1] and E[S2] from one Airy kernel.
 """
 from __future__ import annotations
 
@@ -59,8 +63,7 @@ _R_CUT = 40.0
 _X_MAX_DEFAULT = 16.0
 _CLUSTER_ALPHA = 2.0
 _MIN_NODES = 40
-# Ai(u)^2 < 1e-31 beyond u = 14, so the integrals of linear_statistic_mean and of
-# the Airy kernel (_airy_kernel) stop there
+# Ai(u)^2 < 1e-31 beyond u = 14, so the integrals of airy_moments stop there
 _AIRY_U_MAX = 14.0
 
 
@@ -257,91 +260,59 @@ def truncation_threshold(params: KernelParams, factor_tol: float) -> float:
     return (math.log(params.s) - math.log(factor_tol)) / params.t13
 
 
-def linear_statistic_mean(params: KernelParams, lam_star: float) -> float:
-    """E[Y], Y = sum over lambda_i <= lam_star of log 1/(1 + s e^{-t^{1/3} lambda_i}).
+@dataclass(frozen=True)
+class AiryMoments:
+    """Exact Airy-process moments of the statistics of airy_product_estimate.
 
-    With g(lambda) = -log(1 + s e^{-t^{1/3} lambda}) and the Airy one-point
-    density rho(lambda) = int_0^inf Ai(r - lambda)^2 dr, swapping the two
-    integrals (u = r - lambda) leaves one:
-
-        E[Y] = int_{-lam_star}^{14} Ai(u)^2 F(u) du,
-        F(u) = int_{-u}^{lam_star} g
-             = t^{-1/3} [Li2(-s e^{t^{1/3} u}) - Li2(-s e^{-t^{1/3} lam_star})],
-
-    with Li2(-x) = spence(1 + x).  The u-integral takes Ai from ai_values on
-    the length-2, order-16 Gauss-Legendre panels of the kernel's r-integral.
+    Y = log P, S1 and S2 take the eigenvalues lambda_i <= lam_star:
+    y_mean = E[Y], y_variance = Var(Y), s1_mean = E[S1], s2_mean = E[S2].
     """
-    # imported here so that the commands that never call it do not load scipy.special
-    from scipy.special import spence
 
+    y_mean: float
+    y_variance: float
+    s1_mean: float
+    s2_mean: float
+
+
+def airy_moments(params: KernelParams, lam_star: float) -> AiryMoments:
+    """E[Y], Var(Y), E[S1] and E[S2] from one Airy kernel on [-lam_star, 14].
+
+    The Airy points are x_i = -lambda_i.  Take f(x) = phi(-x) and
+    G(x) = log(1 - f(x)) = -log(1 + s e^{t^{1/3} x}), the Airy kernel in
+    Christoffel-Darboux form K(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y)
+    and its diagonal, the one-point density rho(x) = Ai'(x)^2 - x Ai(x)^2:
+
+        E[Y]   = int G rho,
+        Var(Y) = int G^2 rho - int int G(x) G(y) K(x, y)^2 dx dy
+                 (Soshnikov, Russian Math. Surveys 55, 2000),
+        E[S1]  = int f rho,
+        E[S2]  = (E[S1]^2 - int int f(x) f(y) K(x, y)^2 dx dy) / 2,
+
+    the last two being the first two terms of the Fredholm series of
+    det(I - K_{s,t}).  Every integral runs over [-lam_star, 14] on
+    length-2, order-16 Gauss-Legendre panels, with Ai and Ai' from
+    scipy.special.airy.
+    """
     if -lam_star >= _AIRY_U_MAX:
-        return 0.0
-    u, wu = _gl_panels(-lam_star, _AIRY_U_MAX)
-    a = params.t13
-    f = (spence(1.0 + params.s * np.exp(a * u))
-         - spence(1.0 + params.s * math.exp(-a * lam_star))) / a
-    return float(np.dot(wu, ai_values(u) ** 2 * f))
-
-
-def _airy_kernel(lam_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, weights and Airy kernel K(x_i, x_j) on [-lam_star, 14].
-
-    K(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y) is the
-    Christoffel-Darboux form, with diagonal K(x, x) = Ai'(x)^2 - x Ai(x)^2;
-    the nodes are the Gauss-Legendre panels of linear_statistic_mean.
-    """
+        return AiryMoments(0.0, 0.0, 0.0, 0.0)
     # imported here so that the commands that never call it do not load scipy.special
     from scipy.special import airy
 
     x, wx = _gl_panels(-lam_star, _AIRY_U_MAX)
     ai, aip, _, _ = airy(x)
+    rho = aip ** 2 - x * ai ** 2
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    k = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff
-    np.fill_diagonal(k, aip ** 2 - x * ai ** 2)
-    return x, wx, k
-
-
-def linear_statistic_variance(params: KernelParams, lam_star: float) -> float:
-    """Var(Y) for the Y of linear_statistic_mean, truncated at the same lam_star.
-
-    The Airy points are x_i = -lambda_i, so Y = sum over x_i >= -lam_star of
-    G(x_i), G(x) = -log(1 + s e^{t^{1/3} x}).  For a determinantal process
-    (Soshnikov, Russian Math. Surveys 55, 2000)
-
-        Var(Y) = int G^2 K(x, x) dx - int int G(x) G(y) K(x, y)^2 dx dy
-
-    over [-lam_star, 14]^2, with the Airy kernel K of _airy_kernel.
-    """
-    if -lam_star >= _AIRY_U_MAX:
-        return 0.0
-    x, wx, k = _airy_kernel(lam_star)
-    g = -np.logaddexp(0.0, math.log(params.s) + params.t13 * x)
-    wg = wx * g
-    return float(np.dot(wg * g, np.diag(k)) - wg @ (k ** 2) @ wg)
-
-
-def product_series_means(params: KernelParams, lam_star: float) -> tuple[float, float]:
-    """E[S1] and E[S2], the first two terms of P = 1 - S1 + S2 - S3 + ...
-
-    With phi(lambda) = 1 - 1/(1 + s e^{-t^{1/3} lambda}), the product is
-    P = prod_i (1 - phi(lambda_i)), and S_k is the k-th elementary symmetric
-    sum of the phi(lambda_i), lambda_i <= lam_star: S1 = sum_i phi(lambda_i)
-    and S2 = sum_{i<j} phi(lambda_i) phi(lambda_j).  Their means are the
-    first two terms of the Fredholm series of det(I - K_{s,t}):
-
-        E[S1] = int phi K(x, x) dx,
-        E[S2] = (E[S1]^2 - int int phi(x) phi(y) K(x, y)^2 dx dy) / 2,
-
-    with phi taken at lambda = -x over [-lam_star, 14] and K of _airy_kernel.
-    """
-    if -lam_star >= _AIRY_U_MAX:
-        return 0.0, 0.0
-    x, wx, k = _airy_kernel(lam_star)
+    k_sq = ((ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff) ** 2
+    np.fill_diagonal(k_sq, rho ** 2)
     u = math.log(params.s) + params.t13 * x
-    wphi = wx * np.exp(u - np.logaddexp(0.0, u))
-    mean_s1 = float(np.dot(wphi, np.diag(k)))
-    return mean_s1, 0.5 * (mean_s1 ** 2 - float(wphi @ (k ** 2) @ wphi))
+    g = -np.logaddexp(0.0, u)
+    wg, wf = wx * g, wx * np.exp(u + g)
+    s1_mean = float(np.dot(wf, rho))
+    return AiryMoments(y_mean=float(np.dot(wg, rho)),
+                       y_variance=float(np.dot(wg * g, rho) - wg @ k_sq @ wg),
+                       s1_mean=s1_mean,
+                       s2_mean=0.5 * (s1_mean ** 2 - float(wf @ k_sq @ wf)))
 
 
 @dataclass(frozen=True)
@@ -405,15 +376,14 @@ def airy_product_estimate(spectra: list[SpectrumSample], params: KernelParams,
         s1[i] = phi.sum()
         s2[i] = 0.5 * (s1[i] ** 2 - np.dot(phi, phi))
     ps = np.exp(ys)
-    s1_mean, s2_mean = product_series_means(params, lam_star)
-    gaps = ys - linear_statistic_mean(params, lam_star)
-    cv = estimate_from_samples(ps + (s1 - s1_mean) - (s2 - s2_mean), seed)
+    moments = airy_moments(params, lam_star)
+    gaps = ys - moments.y_mean
+    cv = estimate_from_samples(ps + (s1 - moments.s1_mean) - (s2 - moments.s2_mean), seed)
     return ProductEstimate(
         mean=cv.mean, stderr=cv.stderr, n_samples=cv.n_samples,
         plain=estimate_from_samples(ps, seed),
         linear_gap=estimate_from_samples(gaps, seed),
-        quadratic_gap=estimate_from_samples(
-            gaps ** 2 - linear_statistic_variance(params, lam_star), seed))
+        quadratic_gap=estimate_from_samples(gaps ** 2 - moments.y_variance, seed))
 
 
 def sample_sao2_spectra(config: SaoConfig, n_samples: int, seed: int) -> list[SpectrumSample]:

@@ -6,7 +6,11 @@ airylab.acceptance; the default seed makes every run reproducible.
 """
 import json
 
+import pytest
+
 from airylab import acceptance
+from airylab.fredholm import ProductEstimate
+from airylab.mc import McEstimate
 
 
 def _run(fn):
@@ -33,6 +37,25 @@ def test_criterion_3_fredholm_identity():
     for point, stats in result.measured.items():
         if isinstance(stats, dict):
             assert stats["sigma_distance"] <= 3.0, point
+            for gap in ("linear_gap", "quadratic_gap"):
+                assert abs(stats[gap]) <= 3.0 * stats[f"{gap}_stderr"], (point, gap)
+
+
+@pytest.mark.parametrize("linear, quadratic, passed", [(2.9, -2.9, True), (3.1, 0.0, False),
+                                                       (0.0, -3.1, False)])
+def test_criterion_3_gates_the_one_and_two_point_checks(monkeypatch, linear, quadratic, passed):
+    # the control variates cancel the one- and two-point functions from the
+    # estimate, so a gap beyond 3 sigma must fail the criterion on its own
+    def sigmas(z: float) -> McEstimate:
+        return McEstimate(mean=z * 1e-3, stderr=1e-3, n_samples=400, seed=1)
+
+    def rows(cases, config, n_samples, seed):
+        est = ProductEstimate(mean=0.5, stderr=1e-3, n_samples=400, plain=sigmas(0.0),
+                              linear_gap=sigmas(linear), quadratic_gap=sigmas(quadratic))
+        return [(0.5, est, 0.0) for _ in cases]
+
+    monkeypatch.setattr(acceptance, "determinant_vs_point_process", rows)
+    assert acceptance.criterion_3_fredholm_identity(seed=1, fast=True).passed is passed
 
 
 def test_criterion_4_riccati_matrix_agreement():

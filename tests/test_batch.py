@@ -208,11 +208,11 @@ RECORDED = {
     "sao ldp --z -1 --t 4 --samples 400 --seed 7": "7753dc7e0317c2bb",
     "sao ldp --z -1 --t 16 --samples 200 --seed 7": "d007bbd66894af64",
     "fredholm --s 1 --t 1": "86d86bdf291c585d",
-    "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7": "cd0c59ce7ca1dda0",
+    "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7": "3345054969476ed3",
     "wkb --trials 40 --grid-n 128 --seed 7": "90d7aa37624949a3",
     "scripts/ldp_trend.py --t 2 4 --samples 200": "6e042d45ac26f191",
-    "scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048": "cd3096ecf1ff0fca",
-    "scripts/fredholm_sweep.py --s 0.25 4 64 --t 2 --samples 50 --grid-n 2048": "c010e13d050057e0",
+    "scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048": "3c3aeac05ab3f51b",
+    "scripts/fredholm_sweep.py --s 0.25 4 64 --t 2 --samples 50 --grid-n 2048": "8512dfd067536006",
     "scripts/sandwich_scan.py --n 1 2 --samples 300": "45a1b6f06d5239fc",
     "report --skip mc --fast, runtime_s stripped": "36ba57c1e90d71f4",
 }

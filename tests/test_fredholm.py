@@ -10,12 +10,10 @@ import scipy.special
 from airylab import airy, fredholm
 from airylab.airy import ai_values
 from airylab.errors import DomainError, IncompleteSpectrumError, ResolutionError
-from airylab.fredholm import (KernelParams, QuadratureGrid, airy_product_estimate,
+from airylab.fredholm import (KernelParams, QuadratureGrid, airy_moments, airy_product_estimate,
                               clustered_nodes, determinant_vs_point_process, fredholm_det,
-                              kernel_eval, kernel_grid, linear_statistic_mean,
-                              linear_statistic_variance, product_log_factors,
-                              product_series_means, proxy_f, proxy_psi, sample_sao2_spectra,
-                              truncation_threshold)
+                              kernel_eval, kernel_grid, product_log_factors, proxy_f, proxy_psi,
+                              sample_sao2_spectra, truncation_threshold)
 from airylab.hill import SpectrumSample
 from airylab.mc import spawn_rng
 from airylab.sao import SaoConfig
@@ -296,37 +294,6 @@ def linear_mean_oracle(params: KernelParams, lam_star: float) -> float:
     return float(np.dot(w, rho * -np.log1p(params.s * np.exp(-params.t13 * lam))))
 
 
-class TestLinearStatisticMean:
-    @pytest.mark.parametrize("s, t, factor_tol", [(1.0, 1.0, 1e-15), (0.5, 1.0, 1e-15),
-                                                  (2.0, 0.5, 1e-12), (64.0, 2.0, 1e-12)])
-    def test_matches_the_scipy_airy_density(self, s, t, factor_tol):
-        params = KernelParams(s=s, t=t)
-        lam_star = truncation_threshold(params, factor_tol)
-        assert linear_statistic_mean(params, lam_star) == pytest.approx(
-            linear_mean_oracle(params, lam_star), rel=1e-12)
-
-    def test_vanishes_with_s_at_the_airy_laplace_slope(self):
-        # log(1 + x) = x + O(x^2), so E[Y]/s -> -int rho(lambda) e^{-lambda} d lambda,
-        # which is -e^{1/12} / (2 sqrt(pi)) for the Airy process (t = 1)
-        slope = -math.exp(1.0 / 12.0) / (2.0 * math.sqrt(math.pi))
-        for s in (1e-4, 1e-6, 1e-8):
-            params = KernelParams(s=s, t=1.0)
-            got = linear_statistic_mean(params, truncation_threshold(params, 1e-15 * s))
-            assert got / s == pytest.approx(slope, rel=2.0 * s)
-
-    def test_decreasing_in_s(self):
-        values = []
-        for s in np.geomspace(1e-3, 1e3, 13):
-            params = KernelParams(s=float(s), t=1.0)
-            values.append(linear_statistic_mean(params, truncation_threshold(params, 1e-15)))
-        assert np.all(np.diff(values) < 0.0)
-        assert values[-1] < values[0] < 0.0
-
-    def test_no_density_below_the_truncation(self):
-        params = KernelParams(s=1e-12, t=1.0)
-        assert linear_statistic_mean(params, -20.0) == 0.0
-
-
 def gram_kernel(lam_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, weights and the Airy kernel in Gram form, K(x, y) = int_0^R Ai(x+r) Ai(y+r) dr.
 
@@ -343,6 +310,46 @@ def gram_kernel(lam_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 ORACLE_CASES = [(1.0, 1.0, 1e-15), (0.5, 1.0, 1e-15), (2.0, 0.5, 1e-12), (64.0, 2.0, 1e-12)]
 
 
+class TestLinearStatisticMean:
+    @pytest.mark.parametrize("s, t, factor_tol", [(1.0, 1.0, 1e-15), (0.5, 1.0, 1e-15),
+                                                  (2.0, 0.5, 1e-12), (64.0, 2.0, 1e-12)])
+    def test_matches_the_scipy_airy_density(self, s, t, factor_tol):
+        params = KernelParams(s=s, t=t)
+        lam_star = truncation_threshold(params, factor_tol)
+        assert airy_moments(params, lam_star).y_mean == pytest.approx(
+            linear_mean_oracle(params, lam_star), rel=1e-12)
+
+    @pytest.mark.parametrize("s, t, factor_tol", ORACLE_CASES)
+    def test_matches_the_gram_form_of_the_airy_kernel(self, s, t, factor_tol):
+        # rho(x) = K(x, x) = int_0^inf Ai(x+r)^2 dr, independent of scipy.special.airy
+        params = KernelParams(s=s, t=t)
+        lam_star = truncation_threshold(params, factor_tol)
+        x, wx, k = gram_kernel(lam_star)
+        oracle = np.dot(wx * -np.log1p(params.s * np.exp(params.t13 * x)), np.diag(k))
+        assert airy_moments(params, lam_star).y_mean == pytest.approx(oracle, rel=1e-10)
+
+    def test_vanishes_with_s_at_the_airy_laplace_slope(self):
+        # log(1 + x) = x + O(x^2), so E[Y]/s -> -int rho(lambda) e^{-lambda} d lambda,
+        # which is -e^{1/12} / (2 sqrt(pi)) for the Airy process (t = 1)
+        slope = -math.exp(1.0 / 12.0) / (2.0 * math.sqrt(math.pi))
+        for s in (1e-4, 1e-6, 1e-8):
+            params = KernelParams(s=s, t=1.0)
+            got = airy_moments(params, truncation_threshold(params, 1e-15 * s)).y_mean
+            assert got / s == pytest.approx(slope, rel=2.0 * s)
+
+    def test_decreasing_in_s(self):
+        values = []
+        for s in np.geomspace(1e-3, 1e3, 13):
+            params = KernelParams(s=float(s), t=1.0)
+            values.append(airy_moments(params, truncation_threshold(params, 1e-15)).y_mean)
+        assert np.all(np.diff(values) < 0.0)
+        assert values[-1] < values[0] < 0.0
+
+    def test_no_density_below_the_truncation(self):
+        params = KernelParams(s=1e-12, t=1.0)
+        assert airy_moments(params, -20.0).y_mean == 0.0
+
+
 class TestLinearStatisticVariance:
     @pytest.mark.parametrize("s, t, factor_tol", ORACLE_CASES)
     def test_matches_the_gram_form_of_the_airy_kernel(self, s, t, factor_tol):
@@ -351,11 +358,11 @@ class TestLinearStatisticVariance:
         x, wx, k = gram_kernel(lam_star)
         g = -np.log1p(params.s * np.exp(params.t13 * x))
         oracle = np.dot(wx * g * g, np.diag(k)) - (wx * g) @ k ** 2 @ (wx * g)
-        assert linear_statistic_variance(params, lam_star) == pytest.approx(oracle, rel=1e-10)
+        assert airy_moments(params, lam_star).y_variance == pytest.approx(oracle, rel=1e-10)
 
     def test_no_density_below_the_truncation(self):
         params = KernelParams(s=1e-12, t=1.0)
-        assert linear_statistic_variance(params, -20.0) == 0.0
+        assert airy_moments(params, -20.0).y_variance == 0.0
 
 
 class TestProductSeriesMeans:
@@ -367,21 +374,24 @@ class TestProductSeriesMeans:
         wphi = wx / (1.0 + np.exp(-math.log(params.s) - params.t13 * x))
         s1 = np.dot(wphi, np.diag(k))
         s2 = 0.5 * (s1 ** 2 - wphi @ k ** 2 @ wphi)
-        assert product_series_means(params, lam_star) == pytest.approx((s1, s2), rel=1e-10)
+        moments = airy_moments(params, lam_star)
+        assert (moments.s1_mean, moments.s2_mean) == pytest.approx((s1, s2), rel=1e-10)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_second_order_fredholm_series_matches_the_determinant(self, t):
         # det = 1 - E[S1] + E[S2] - E[S3] + ...; at s = 0.1, E[S2] is 6e-5 to
         # 4e-4 and the terms from E[S3] on are below 1e-6
         params = KernelParams(s=0.1, t=t)
-        s1, s2 = product_series_means(params, truncation_threshold(params, 1e-15))
+        moments = airy_moments(params, truncation_threshold(params, 1e-15))
+        s1, s2 = moments.s1_mean, moments.s2_mean
         det = fredholm_det(params, kernel_grid(params))
         assert abs(det - (1.0 - s1 + s2)) <= 2e-6
         assert abs(det - (1.0 - s1)) > 100 * abs(det - (1.0 - s1 + s2))
 
     def test_nothing_below_the_truncation(self):
         params = KernelParams(s=1e-12, t=1.0)
-        assert product_series_means(params, -20.0) == (0.0, 0.0)
+        moments = airy_moments(params, -20.0)
+        assert (moments.s1_mean, moments.s2_mean) == (0.0, 0.0)
 
 
 class TestControlVariate:
@@ -395,9 +405,9 @@ class TestControlVariate:
         spectra = self._spectra(40, 65)
         est = airy_product_estimate(spectra, params, 1e-12, 65)
         lam_star = truncation_threshold(params, 1e-12)
-        s1_mean, s2_mean = product_series_means(params, lam_star)
-        y_mean = linear_statistic_mean(params, lam_star)
-        y_var = linear_statistic_variance(params, lam_star)
+        moments = airy_moments(params, lam_star)
+        s1_mean, s2_mean = moments.s1_mean, moments.s2_mean
+        y_mean, y_var = moments.y_mean, moments.y_variance
         kept = [sp.eigenvalues[sp.eigenvalues <= lam_star] for sp in spectra]
         factors = [1.0 / (1.0 + params.s * np.exp(-params.t13 * ev)) for ev in kept]
         ps = np.array([f.prod() for f in factors])
@@ -428,8 +438,8 @@ class TestControlVariate:
         # P + S1 - S2 - 1 = -S3 + S4 - ... lies in [-S3, 0] for factors in (0, 1)
         params = KernelParams(s=2.0, t=0.5)
         lam_star = truncation_threshold(params, 1e-12)
-        s1_mean, s2_mean = product_series_means(params, lam_star)
-        top = 1.0 - s1_mean + s2_mean
+        moments = airy_moments(params, lam_star)
+        top = 1.0 - moments.s1_mean + moments.s2_mean
         for sp in self._spectra(40, 69):
             est = airy_product_estimate([sp, sp], params, 1e-12, 69)
             phi = 1.0 - 1.0 / (1.0 + params.s * np.exp(
