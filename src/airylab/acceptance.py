@@ -33,7 +33,6 @@ class CriterionResult:
     label: str
     group: str
     passed: bool
-    budget_s: float
     runtime_s: float = 0.0
     measured: dict = field(default_factory=dict)
 
@@ -59,7 +58,7 @@ def _criterion(cid: int, label: str, group: str, budget_s: float):
             if runtime_s > budget_s:
                 passed = False
                 measured["runtime_exceeded"] = True
-            return CriterionResult(cid, label, group, passed, budget_s, runtime_s, measured)
+            return CriterionResult(cid, label, group, passed, runtime_s, measured)
 
         # the body's name and docstring, but not its signature
         criterion.__name__ = criterion.__qualname__ = body.__name__

@@ -62,6 +62,8 @@ def _header(args: argparse.Namespace) -> dict:
 
 
 def _cmd_rate_fn(args: argparse.Namespace) -> tuple[int, str]:
+    if args.steps < 0:
+        raise DomainError(f"--steps must be at least 0, got {args.steps}")
     zs = np.linspace(args.z_min, args.z_max, args.steps)
     rows = [[float(z) + 0.0, phi_minus(float(z)), phi_minus_scaled(args.beta, float(z))]
             for z in zs]  # + 0.0 normalizes the signed zero at the endpoint

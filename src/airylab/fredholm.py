@@ -10,8 +10,9 @@ integral) gated by refinement convergence.  The costly part of each pass is
 the table Ai(x_i + r_j), which depends on the nodes and on the r-window but
 not on s; the tables of the last r-window used (one per node set and panel
 order, so the coarse and the fine pass) are kept and reused until a call
-with another window replaces them.  At 96 nodes and t = 0.5, the widest
-default window, the pair takes 2.3 MB.  The same quantity equals the
+with another window frees them, before it builds its own.  At 96 nodes and
+t = 0.5, the widest default window, the pair takes 2.3 MB, and
+_window_tables.cache_clear() frees it.  The same quantity equals the
 Airy-point-process expectation E[P], P = prod_i 1/(1 + s e^{-t^{1/3} lambda_i}),
 over spectra of the beta = 2 stochastic Airy operator, which
 airy_product_estimate estimates by Monte Carlo; determinant_vs_point_process
@@ -47,6 +48,7 @@ computes E[Y], Var(Y), E[S1] and E[S2] from one Airy kernel.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,17 +112,16 @@ class QuadratureGrid:
         object.__setattr__(self, "weights", weights)
 
 
-def clustered_nodes(n: int, x_max: float = _X_MAX_DEFAULT,
-                    alpha: float = _CLUSTER_ALPHA) -> tuple[np.ndarray, np.ndarray]:
+def clustered_nodes(n: int, x_max: float = _X_MAX_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes mapped through an exponential stretch toward 0."""
     if n < 1:
         raise DomainError(f"the node rule needs at least one node, got {n}")
     u, wu = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
-    den = math.expm1(alpha)
-    x = x_max * np.expm1(alpha * u) / den
-    dx = x_max * alpha * np.exp(alpha * u) / den
+    den = math.expm1(_CLUSTER_ALPHA)
+    x = x_max * np.expm1(_CLUSTER_ALPHA * u) / den
+    dx = x_max * _CLUSTER_ALPHA * np.exp(_CLUSTER_ALPHA * u) / den
     return x, wu * dx
 
 
@@ -155,35 +156,16 @@ def _fermi(r: np.ndarray, params: KernelParams) -> np.ndarray:
     return out
 
 
-class _AiryTables:
-    """Read-only tables Ai(x_i + r_j) of one r-window.
+@functools.lru_cache(maxsize=1)
+def _window_tables(r_lo: float, r_hi: float) -> dict:
+    """The Airy tables of the r-window (r_lo, r_hi), filled by _kernel_matrix.
 
     A table is keyed by the exact node bytes and the panel order, which with
-    the window fix r.  A call with another window empties the memo first, so
-    at most one window's tables are held.  Window and tables are replaced as
-    one tuple, so a table is never filed under a window it was not built on.
+    the window fix r.  The cache holds one window: a call with another
+    window drops the old dict as it returns the new, empty one, so the old
+    tables are freed before any table of the new window is built.
     """
-
-    def __init__(self):
-        self.held: tuple = (None, {})
-
-    def table(self, xs: np.ndarray, r: np.ndarray, window: tuple[float, float],
-              panel_order: int) -> np.ndarray:
-        held_window, tables = self.held
-        if held_window != window:
-            tables = {}
-            self.held = (window, tables)
-        key = (xs.tobytes(), panel_order)
-        a = tables.get(key)
-        if a is None:
-            # through the module binding, which perfbench/bench_trace.py wraps
-            a = ai_values(xs[:, None] + r[None, :])
-            a.flags.writeable = False
-            tables[key] = a
-        return a
-
-
-_AIRY_TABLES = _AiryTables()
+    return {}
 
 
 def _kernel_matrix(xs: np.ndarray, params: KernelParams, r_lo: float, r_hi: float,
@@ -191,7 +173,13 @@ def _kernel_matrix(xs: np.ndarray, params: KernelParams, r_lo: float, r_hi: floa
     """K(x_i, x_j) on all node pairs; Gram form keeps it symmetric PSD."""
     r, wr = _gl_panels(r_lo, r_hi, order=panel_order)
     w_eff = wr * _fermi(r, params)
-    a = _AIRY_TABLES.table(xs, r, (r_lo, r_hi), panel_order)
+    tables = _window_tables(r_lo, r_hi)
+    key = (xs.tobytes(), panel_order)
+    a = tables.get(key)
+    if a is None:
+        # through the module binding, which perfbench/bench_trace.py wraps
+        a = tables[key] = ai_values(xs[:, None] + r[None, :])
+        a.flags.writeable = False
     return (a * w_eff[None, :]) @ a.T
 
 
@@ -223,9 +211,10 @@ def fredholm_det(params: KernelParams, grid: QuadratureGrid, *,
     integral); a change above convergence_tol raises ResolutionError.
     Both passes reuse the Airy tables of the previous call when it had the
     same r-window (the same t for kernel_grid) and the same nodes, so a
-    sweep over s at fixed t builds them once; the tables of one window, two
-    of them, stay held until a call with another window (2.3 MB at 96
-    nodes and t = 0.5).  The result is bit-for-bit the one computed afresh.
+    sweep over s at fixed t builds them once.  The tables of one window,
+    two of them (2.3 MB at 96 nodes and t = 0.5), stay held until a call
+    with another window frees them before building its own.  The result is
+    bit-for-bit the one computed afresh.
     """
     n = grid.nodes.size
     if n < _MIN_NODES:
@@ -244,10 +233,11 @@ def fredholm_det(params: KernelParams, grid: QuadratureGrid, *,
     return det2
 
 
-def product_log_factors(eigenvalues: np.ndarray, params: KernelParams) -> float:
-    """log prod_i 1/(1 + s e^{-t^{1/3} lambda_i}), softplus-stable."""
-    u = math.log(params.s) - params.t13 * np.asarray(eigenvalues, dtype=float)
-    return -float(np.logaddexp(0.0, u).sum())
+def _factor_logs(params: KernelParams, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log(1 - phi), phi) at each lam, phi = 1 - 1/(1 + s e^{-t^{1/3} lam}), softplus-stable."""
+    u = math.log(params.s) - params.t13 * lam
+    g = -np.logaddexp(0.0, u)
+    return g, np.exp(u + g)
 
 
 def truncation_threshold(params: KernelParams, factor_tol: float) -> float:
@@ -305,9 +295,8 @@ def airy_moments(params: KernelParams, lam_star: float) -> AiryMoments:
     np.fill_diagonal(diff, 1.0)
     k_sq = ((ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / diff) ** 2
     np.fill_diagonal(k_sq, rho ** 2)
-    u = math.log(params.s) + params.t13 * x
-    g = -np.logaddexp(0.0, u)
-    wg, wf = wx * g, wx * np.exp(u + g)
+    g, f = _factor_logs(params, -x)
+    wg, wf = wx * g, wx * f
     s1_mean = float(np.dot(wf, rho))
     return AiryMoments(y_mean=float(np.dot(wg, rho)),
                        y_variance=float(np.dot(wg * g, rho) - wg @ k_sq @ wg),
@@ -362,17 +351,14 @@ def airy_product_estimate(spectra: list[SpectrumSample], params: KernelParams,
     Each spectrum must reach lam_star.
     """
     lam_star = truncation_threshold(params, factor_tol)
-    log_s = math.log(params.s)
     ys, s1, s2 = np.empty((3, len(spectra)))
     for i, spec in enumerate(spectra):
         if spec.cap < lam_star:
             raise IncompleteSpectrumError(
                 f"factors stay {factor_tol} away from 1 up to {lam_star:.2f}, "
                 f"above the spectrum cap {spec.cap}")
-        eigenvalues = spec.eigenvalues[spec.eigenvalues <= lam_star]
-        ys[i] = product_log_factors(eigenvalues, params)
-        u = log_s - params.t13 * eigenvalues
-        phi = np.exp(u - np.logaddexp(0.0, u))
+        g, phi = _factor_logs(params, spec.eigenvalues[spec.eigenvalues <= lam_star])
+        ys[i] = g.sum()
         s1[i] = phi.sum()
         s2[i] = 0.5 * (s1[i] ** 2 - np.dot(phi, phi))
     ps = np.exp(ys)

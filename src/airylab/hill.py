@@ -18,6 +18,7 @@ from __future__ import annotations
 import atexit
 import collections
 import enum
+import functools
 import itertools
 import math
 import os
@@ -217,33 +218,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool = None  # (executor, workers), made by the first batch that needs it
-
-
+@functools.cache
 def _worker_pool():
-    """The process pool, created on first use and kept for later batches.
+    """(executor, workers): the process pool, made by the first batch that needs it.
 
     Workers are forked where the platform allows it, so they start at once
-    and see the modules as they were at that moment.
+    and see the modules as they were at that moment.  The pool is shut down
+    at exit, while the interpreter is still whole.  A batch that finds it
+    broken clears this cache, so the next batch starts a new pool.
     """
-    global _pool
-    if _pool is None:
-        import concurrent.futures  # deferred: importing airylab stays as fast
-        import multiprocessing
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        workers = _usable_cpus()
-        _pool = (concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context(method)), workers)
-        atexit.register(_close_pool)
-    return _pool
-
-
-def _close_pool() -> None:
-    """Shut the pool down while the interpreter is still whole."""
-    global _pool
-    if _pool is not None:
-        _pool[0].shutdown()
-        _pool = None
+    import concurrent.futures  # deferred: importing airylab stays as fast
+    import multiprocessing
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    workers = _usable_cpus()
+    executor = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context(method))
+    atexit.register(executor.shutdown)
+    return executor, workers
 
 
 def _in_order(tasks: Iterable) -> Iterator[list[np.ndarray]]:
@@ -252,7 +243,6 @@ def _in_order(tasks: Iterable) -> Iterator[list[np.ndarray]]:
     At most _GROUPS_PER_WORKER tasks per worker are pending, so tasks are
     drawn from the iterable only as fast as the workers take them.
     """
-    global _pool
     from concurrent.futures.process import BrokenProcessPool
     executor, workers = _worker_pool()
     pending = collections.deque()
@@ -264,7 +254,7 @@ def _in_order(tasks: Iterable) -> Iterator[list[np.ndarray]]:
         while pending:
             yield pending.popleft().result()
     except BrokenProcessPool:
-        _pool = None  # a worker died; the next batch starts a new pool
+        _worker_pool.cache_clear()  # a worker died; the next batch starts a new pool
         raise
     finally:
         for future in pending:

@@ -79,8 +79,11 @@ def weighted_log_samples(config: HillConfig | SaoConfig,
     config.lambda_cap come from dirichlet_spectra.  The weight
     -sum r_i dW_i + (1/2) sum r_i^2 h is exact for Gaussian increments, so
     the mean of exp(value) is the undrifted expectation at any resolution;
-    zero rates give weight 0 and plain Monte Carlo.
+    zero rates give weight 0 and plain Monte Carlo.  n_samples < 1 is a
+    DomainError.
     """
+    if n_samples < 1:
+        raise DomainError(f"the estimate needs at least one sample, got {n_samples}")
     h = config.h
     half_r2h = 0.5 * float((rates ** 2).sum()) * h
     log_w = np.empty(n_samples)
@@ -106,8 +109,7 @@ def _plain_expectation(config: HillConfig | SaoConfig, z: float, t: float, n_sam
 
 def sandwich_check(z: float, t: float, beta: float, params: DiscretizationParams,
                    n_samples: int, *, seed: int = 0, hill_grid_n: int = 256,
-                   sao_grid_n: int = 1024,
-                   sao_domain_l: float | None = None) -> tuple[McEstimate, McEstimate, McEstimate]:
+                   sao_grid_n: int = 1024) -> tuple[McEstimate, McEstimate, McEstimate]:
     """Lower/middle/upper estimates of the localization sandwich.
 
     lower  = prod_{j=0}^{n-1} E_j * e^{-n} * E[shifted SAO factor]
@@ -119,8 +121,7 @@ def sandwich_check(z: float, t: float, beta: float, params: DiscretizationParams
     n = params.n
     xi = params.xi
     threshold = -z * t ** (2.0 / 3.0)
-    if sao_domain_l is None:
-        sao_domain_l = max(threshold, 0.0) + 10.0
+    sao_domain_l = max(threshold, 0.0) + 10.0
     hill_est = [
         _plain_expectation(HillConfig(j=j, xi=xi, beta=beta, grid_n=hill_grid_n,
                                       lambda_cap=threshold),

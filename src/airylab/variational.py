@@ -24,6 +24,8 @@ from .rate import phi_minus_scaled
 
 _A_LO = -1.0 / 3.0
 _A_HI = 2.0 / 3.0
+_VALUE_TOL = 1e-10
+_MAX_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -108,13 +110,12 @@ def _objective_values(nu: np.ndarray, z: float, beta: float) -> np.ndarray:
     return 0.5 * v * v + 2.0 / (3.0 * math.pi) * x ** 1.5
 
 
-def variational_value(z: float, beta: float, *, abs_tol: float = 1e-10,
-                      max_order: int = 512) -> float:
+def variational_value(z: float, beta: float) -> float:
     """Integral of the optimal per-level cost over nu in [0, -z].
 
-    Gauss-Legendre with order doubling until the change is below abs_tol
-    (scaled by the value).  The integrand is analytic on [0, -z], so the
-    gate triggers at modest order.
+    Gauss-Legendre with order doubling up to _MAX_ORDER until the change is
+    below _VALUE_TOL (scaled by the value).  The integrand is analytic on
+    [0, -z], so the gate triggers at modest order.
     """
     if z > 0.0:
         raise DomainError("variational_value requires z <= 0")
@@ -125,12 +126,12 @@ def variational_value(z: float, beta: float, *, abs_tol: float = 1e-10,
     upper = -z
     prev = None
     order = 32
-    while order <= max_order:
+    while order <= _MAX_ORDER:
         nodes, weights = np.polynomial.legendre.leggauss(order)
         nu = 0.5 * upper * (nodes + 1.0)
         w = 0.5 * upper * weights
         val = float(np.dot(w, _objective_values(nu, z, beta)))
-        if prev is not None and abs(val - prev) <= abs_tol * (1.0 + abs(val)):
+        if prev is not None and abs(val - prev) <= _VALUE_TOL * (1.0 + abs(val)):
             return val
         prev = val
         order *= 2

@@ -101,7 +101,12 @@ def wkb_compare(profile: PotentialProfile, r: float) -> tuple[float, float, bool
 
 def wkb_trials(rng: np.random.Generator, trials: int,
                grid_n: int) -> tuple[int, float]:
-    """(violations, largest lhs - rhs) of wkb_compare over random profiles and r."""
+    """(violations, largest lhs - rhs) of wkb_compare over random profiles and r.
+
+    trials < 1 is a DomainError.
+    """
+    if trials < 1:
+        raise DomainError(f"the comparison needs at least one trial, got {trials}")
     violations = 0
     max_gap = -math.inf
     for _ in range(trials):

@@ -29,6 +29,13 @@ def _digests():
     return module
 
 
+def _python(code):
+    """Run code in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def _serial(monkeypatch):
     monkeypatch.setattr(hill, "_usable_cpus", lambda: 1)
 
@@ -154,11 +161,9 @@ hill.tridiagonal_eigenvalues = broken
 try:
     sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 14, lambda_cap=5.0), 6, 1)
 except DomainError as exc:
-    print(type(exc).__name__, exc, hill._pool is not None)
+    print(type(exc).__name__, exc, hill._worker_pool.cache_info().currsize == 1)
 """
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _python(code)
     pooled = hill._usable_cpus() > 1
     assert done.stdout.strip() == f"DomainError raised by the solver {pooled}", done.stderr
 
@@ -175,20 +180,49 @@ from airylab.sao import SaoConfig
 
 cfg = SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12, lambda_cap=5.0)
 first = sample_sao2_spectra(cfg, 12, 1)
-executor, _ = hill._pool
+executor, _ = hill._worker_pool()
 for pid in list(executor._processes):
     os.kill(pid, signal.SIGKILL)
 try:
     sample_sao2_spectra(cfg, 12, 1)
 except BrokenProcessPool:
-    print("broken", hill._pool is None)
+    print("broken", hill._worker_pool.cache_info().currsize == 0)
 again = sample_sao2_spectra(cfg, 12, 1)
 print(all(np.array_equal(a.eigenvalues, b.eigenvalues) for a, b in zip(first, again)))
 """
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _python(code)
     assert done.stdout.split() == ["broken", "True", "True"], done.stderr
+
+
+@pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
+def test_no_worker_outlives_the_interpreter():
+    code = """
+import airylab.hill as hill
+from airylab.fredholm import sample_sao2_spectra
+from airylab.sao import SaoConfig
+
+sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12, lambda_cap=5.0), 12, 1)
+executor, _ = hill._worker_pool()
+print(*executor._processes)
+"""
+    done = _python(code)
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert done.returncode == 0 and pids, done.stderr
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_import_loads_neither_the_process_pool_nor_scipy_special():
+    code = """
+import sys
+import airylab
+print(*sorted({"multiprocessing", "concurrent.futures.process", "scipy.special"}
+              & set(sys.modules)))
+"""
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 # digests of every command of scripts/output_digests.py but `report --fast`

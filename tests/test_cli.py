@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from airylab import cli
+from airylab import cli, sao, wkb
 from airylab.cli import main
 
 
@@ -143,6 +143,24 @@ class TestExitCodes:
                                                                           factor_tol):
         assert main(["fredholm", "compare", "--s", "1", "--t", "1",
                      "--factor-tol", factor_tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["rate-fn", "--z-min", "-2", "--z-max", "0", "--steps", "-1"],
+        ["sao", "ldp", "--samples", "-3"],
+        ["sao", "ldp", "--samples", "0"],
+        ["sao", "sandwich", "--samples", "-3"],
+        ["wkb", "--trials", "0"],
+    ])
+    def test_bad_count_is_a_domain_error_before_any_work(self, capsys, monkeypatch, argv):
+        def costly(*args, **kwargs):
+            raise AssertionError("worked before the count was checked")
+
+        monkeypatch.setattr(sao, "dirichlet_spectra", costly)
+        monkeypatch.setattr(wkb, "random_profile", costly)
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:")
         assert captured.out == ""

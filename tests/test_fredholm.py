@@ -1,6 +1,7 @@
 """Kernel evaluation, Nystrom determinant and the point-process cross-check."""
 import itertools
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,7 @@ from airylab.airy import ai_values
 from airylab.errors import DomainError, IncompleteSpectrumError, ResolutionError
 from airylab.fredholm import (KernelParams, QuadratureGrid, airy_moments, airy_product_estimate,
                               clustered_nodes, determinant_vs_point_process, fredholm_det,
-                              kernel_eval, kernel_grid, product_log_factors, proxy_f, proxy_psi,
+                              kernel_eval, kernel_grid, proxy_f, proxy_psi,
                               sample_sao2_spectra, truncation_threshold)
 from airylab.hill import SpectrumSample
 from airylab.mc import spawn_rng
@@ -152,12 +153,11 @@ class TestAiryTableMemo:
     """fredholm_det reuses the Airy tables of one r-window across s."""
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        def empty():
-            monkeypatch.setattr(fredholm, "_AIRY_TABLES", fredholm._AiryTables())
-
+    def empty_memo(self):
+        empty = fredholm._window_tables.cache_clear
         empty()
-        return empty
+        yield empty
+        empty()
 
     @staticmethod
     def _grids(t):
@@ -194,13 +194,33 @@ class TestAiryTableMemo:
                     assert fredholm_det(KernelParams(s=s, t=t), grid) == expected[t, k, s]
             # coarse and fine tables of each of the three grids, once per visit
             assert len(calls) == 2 * len(grids)
-        window, tables = fredholm._AIRY_TABLES.held
         grids = visits[-1][1]
-        assert window == (grids[0].r_cut_low, grids[0].r_cut_high)
+        # one window is held, and it is the last one used
+        info = fredholm._window_tables.cache_info()
+        assert info.currsize == 1
+        tables = fredholm._window_tables(grids[0].r_cut_low, grids[0].r_cut_high)
+        assert fredholm._window_tables.cache_info().hits == info.hits + 1
         fine = [clustered_nodes(2 * g.nodes.size, x_max=g.x_max)[0] for g in grids]
         assert set(tables) == ({(g.nodes.tobytes(), 16) for g in grids}
                                | {(x.tobytes(), 24) for x in fine})
         assert not any(a.flags.writeable for a in tables.values())
+
+    def test_new_window_frees_the_old_tables_before_building(self, monkeypatch):
+        grid = kernel_grid(KernelParams(s=1.0, t=1.0), n_nodes=48)
+        fredholm_det(KernelParams(s=1.0, t=1.0), grid)
+        old = [weakref.ref(a) for a in
+               fredholm._window_tables(grid.r_cut_low, grid.r_cut_high).values()]
+        assert len(old) == 2
+        alive_at_build = []
+
+        def watched(x):
+            alive_at_build.append(sum(ref() is not None for ref in old))
+            return airy.ai_values(x)
+
+        monkeypatch.setattr(fredholm, "ai_values", watched)
+        params = KernelParams(s=1.0, t=2.0)
+        fredholm_det(params, kernel_grid(params, n_nodes=48))
+        assert alive_at_build == [0, 0]
 
     def test_reused_table_against_kernel_eval(self):
         # kernel_eval builds its own Airy values: an s-dependent factor kept
@@ -241,10 +261,10 @@ class TestProductSide:
         with pytest.raises(DomainError):
             determinant_vs_point_process([(1.0, 1.0, 1e-15), (2.0, 0.5, 2.0)], cfg, 10, 62)
 
-    def test_product_log_factors_stable(self):
+    def test_factor_logs_stable(self):
         params = KernelParams(s=2.0, t=1.0)
         ev = np.array([-800.0, 0.0, 5.0])
-        val = product_log_factors(ev, params)
+        val = float(fredholm._factor_logs(params, ev)[0].sum())
         assert math.isfinite(val)
         # the deep eigenvalue contributes ~ -(log s + t^{1/3}|lambda|)
         assert val == pytest.approx(-(math.log(2.0) + 800.0)
