@@ -11,7 +11,9 @@ the WKB comparison operators (V = 0, f the drift profile) all build on it.
 Eigenvalues of the Dirichlet (tridiagonal) matrix come from LAPACK Sturm
 bisection (stebz); the periodic matrix carries two corner entries and is
 solved densely, which restricts periodic grids to <= 4096 cells.
-dirichlet_spectra solves a batch of paths on every usable CPU.
+dirichlet_spectra solves a batch of paths on every usable CPU, and
+_shared_map runs the parts of one large call (an Airy table, a pair of
+periodic WKB solves) on the same process pool.
 """
 from __future__ import annotations
 
@@ -95,6 +97,8 @@ class SpectrumSample:
         return SpectrumSample(eigenvalues=self.eigenvalues + offset, cap=self.cap + offset)
 
     def count_below(self, lam: float) -> int:
+        if math.isnan(lam):
+            raise DomainError("count requested at a NaN level")
         if lam > self.cap:
             raise IncompleteSpectrumError("count requested above the spectrum cap")
         return int(np.searchsorted(self.eigenvalues, lam, side="right"))
@@ -151,6 +155,19 @@ class CellOperator:
         return self.potential((np.arange(self.slopes.size) + 0.5) * self.h) + self.slopes
 
 
+def check_cell_width(length: float, grid_n: int) -> None:
+    """DomainError unless h^2 and 1/h^2 are finite and positive, h = length / grid_n.
+
+    The operators' off-diagonal is -1/h^2; the configs check it before any
+    path is drawn.
+    """
+    h = length / grid_n
+    h2 = h * h
+    if not (0.0 < h2 < _INF and 1.0 / h2 < _INF):
+        raise DomainError(f"cell width {h} gives h^2 = {h2}; "
+                          "the operator needs finite h^2 and 1/h^2")
+
+
 @dataclass(frozen=True)
 class HillConfig:
     """Level j Hill operator on [0, xi] with grid_n cells."""
@@ -171,6 +188,7 @@ class HillConfig:
             raise DomainError("HillConfig requires beta > 0")
         if self.grid_n < 16:
             raise ConfigurationError("grid_n must be at least 16")
+        check_cell_width(self.xi, self.grid_n)
         if not math.isfinite(self.lambda_cap):
             raise ConfigurationError("lambda_cap must be finite")
 
@@ -196,6 +214,9 @@ def hill_spectrum(config, path: NoisePath) -> SpectrumSample:
     """Eigenvalues <= lambda_cap under the configured boundary condition.
 
     config is a HillConfig or a SaoConfig (whose boundary is Dirichlet).
+    The solve runs here: split between two pool workers at nodes of
+    LAPACK's bisection tree it keeps every bit, but saved only about 11 %
+    at 2^14 cells on 2 CPUs (CHANGES.md).
     """
     op = config.operator(path)
     if config.boundary is Boundary.DIRICHLET:
@@ -220,12 +241,14 @@ def _usable_cpus() -> int:
 
 @functools.cache
 def _worker_pool():
-    """(executor, workers): the process pool, made by the first batch that needs it.
+    """(executor, workers, pid): the process pool, made by the first call that needs it.
 
     Workers are forked where the platform allows it, so they start at once
-    and see the modules as they were at that moment.  The pool is shut down
-    at exit, while the interpreter is still whole.  A batch that finds it
-    broken clears this cache, so the next batch starts a new pool.
+    and see the modules as they were at that moment, this cache included:
+    pid is the maker's, which in a worker is not its own, so _shares_here
+    keeps a worker's work in place and a worker never starts a pool.  The pool is shut down
+    at exit, while the interpreter is still whole.  A call that finds it
+    broken clears this cache, so the next call starts a new pool.
     """
     import concurrent.futures  # deferred: importing airylab stays as fast
     import multiprocessing
@@ -234,31 +257,51 @@ def _worker_pool():
     executor = concurrent.futures.ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context(method))
     atexit.register(executor.shutdown)
-    return executor, workers
+    return executor, workers, os.getpid()
 
 
-def _in_order(tasks: Iterable) -> Iterator[list[np.ndarray]]:
-    """_solve_group over tasks on the pool, yielded in submission order.
+def _shares_here() -> bool:
+    """Whether work may go to the pool: more than one usable CPU, in the process that made it."""
+    return _usable_cpus() > 1 and _worker_pool()[2] == os.getpid()
 
-    At most _GROUPS_PER_WORKER tasks per worker are pending, so tasks are
+
+def _in_order(fn: Callable, tasks: Iterable) -> Iterator:
+    """fn over tasks on the pool, yielded in submission order.
+
+    fn is a module-level function, which the workers look up by name.  At
+    most _GROUPS_PER_WORKER tasks per worker are pending, so tasks are
     drawn from the iterable only as fast as the workers take them.
     """
     from concurrent.futures.process import BrokenProcessPool
-    executor, workers = _worker_pool()
+    executor, workers, _ = _worker_pool()
     pending = collections.deque()
     try:
         for task in tasks:
-            pending.append(executor.submit(_solve_group, task))
+            pending.append(executor.submit(fn, task))
             if len(pending) == _GROUPS_PER_WORKER * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
     except BrokenProcessPool:
-        _worker_pool.cache_clear()  # a worker died; the next batch starts a new pool
+        _worker_pool.cache_clear()  # a worker died; the next call starts a new pool
         raise
     finally:
         for future in pending:
             future.cancel()
+
+
+def _shared_map(fn: Callable, tasks: list) -> list:
+    """[fn(task) for task in tasks], every call on a pool worker while the caller waits.
+
+    The caller computes no share itself: a share run here would hold the
+    interpreter lock that the executor's feeder thread needs to send the
+    others.  Where _shares_here is false the calls run here, in order.
+    fn must be a pure module-level function for the results not to depend
+    on where they ran.
+    """
+    if _shares_here():
+        return list(_in_order(fn, tasks))
+    return [fn(task) for task in tasks]
 
 
 def _dirichlet_groups(config, paths: Iterator[NoisePath]):
@@ -287,8 +330,8 @@ def dirichlet_spectra(config, paths: Iterable[NoisePath]) -> Iterator[SpectrumSa
     solves consume them; the solves run on a process pool with one worker
     per usable CPU.  Each solve is a pure function of its matrix, so the
     spectra are the same, bit for bit, for any number of CPUs.  With one
-    usable CPU, a batch of one group or fewer than _POOL_MIN_CELLS cells the
-    solves run here.
+    usable CPU, in a pool worker, or for a batch of one group or of fewer
+    than _POOL_MIN_CELLS cells the solves run here.
     """
     if config.boundary is not Boundary.DIRICHLET:
         raise DomainError("dirichlet_spectra requires the Dirichlet boundary")
@@ -296,10 +339,8 @@ def dirichlet_spectra(config, paths: Iterable[NoisePath]) -> Iterator[SpectrumSa
     solved = map(_solve_group, tasks)
     if config.grid_n >= _POOL_MIN_CELLS and _usable_cpus() > 1:
         head = list(itertools.islice(tasks, 2))
-        if len(head) == 2:
-            solved = _in_order(itertools.chain(head, tasks))
-        else:
-            solved = map(_solve_group, head)
+        run = _in_order if len(head) == 2 and _shares_here() else map
+        solved = run(_solve_group, itertools.chain(head, tasks))
     return (SpectrumSample(eigenvalues=ev, cap=config.lambda_cap)
             for group in solved for ev in group)
 
@@ -393,10 +434,13 @@ def riccati_count_hill(lam: float, config, path: NoisePath) -> int:
     This is the count of eigenvalues <= lam of the continuum operator with
     the cell-constant rates, which tracks the Dirichlet matrix count only
     while lam h^2 is small: for the Hill operator at xi = 1, grid_n = 16 and
-    lam = 1e4 it is 31, while the matrix has 15 rows.
+    lam = 1e4 it is 31, while the matrix has 15 rows.  A lam that is not
+    finite is a DomainError.
     """
     if config.boundary is not Boundary.DIRICHLET:
         raise DomainError("Riccati counting applies to the Dirichlet boundary")
+    if not math.isfinite(lam):
+        raise DomainError(f"the count needs a finite level, got {lam}")
     q = config.operator(path).riccati_rates() - lam
     return int(riccati_cell_counts(q, config.h).sum())
 

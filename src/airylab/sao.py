@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnderflowDiagnostic
-from .hill import (Boundary, CellOperator, HillConfig, NoisePath, SpectrumSample,
+from .hill import (Boundary, CellOperator, HillConfig, NoisePath, SpectrumSample, check_cell_width,
                    dirichlet_spectra, hill_spectrum, linear_statistic, riccati_count_hill)
 # perfbench/bench_trace.py wraps the bindings sao.riccati_cell_counts and
 # sao.tridiagonal_eigenvalues
@@ -48,6 +48,7 @@ class SaoConfig:
             raise ConfigurationError("SaoConfig requires domain_l > 0")
         if self.grid_n < 16:
             raise ConfigurationError("grid_n must be at least 16")
+        check_cell_width(self.domain_l, self.grid_n)
         if not math.isfinite(self.lambda_cap):
             raise ConfigurationError("lambda_cap must be finite")
         if self.lambda_cap > 0.0 and self.domain_l < self.lambda_cap + _DOMAIN_MARGIN_MIN:

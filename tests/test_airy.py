@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from airylab import airy, fredholm, hill
 from airylab.airy import _asym_scaled_pos, ai_values
 from airylab.errors import DomainError
 
@@ -133,6 +134,27 @@ class TestInvariants:
             xs = xs[np.argsort(np.abs(xs))]
         chunks = np.array_split(xs, 37)
         assert np.array_equal(ai_values(xs), np.concatenate([ai_values(c) for c in chunks]))
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_shared_tables_equal_the_in_place_ones_bit_for_bit(self, t):
+        # the coarse and fine tables of fredholm_det at kernel_sweep's windows
+        grid = fredholm.kernel_grid(fredholm.KernelParams(s=1.0, t=t), n_nodes=96)
+        tables = []
+        for nodes, order in [(grid.nodes, 16), (fredholm.clustered_nodes(192)[0], 24)]:
+            r, _ = fredholm._gl_panels(grid.r_cut_low, grid.r_cut_high, order=order)
+            tables.append(nodes[:, None] + r[None, :])
+        for xs in tables:
+            assert xs.size >= airy._SHARE_MIN_POINTS
+            assert np.array_equal(ai_values(xs), airy._ai_here(xs))
+
+    def test_one_usable_cpu_evaluates_in_place(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("the pool was used with one usable CPU")
+
+        monkeypatch.setattr(hill, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(hill, "_in_order", no_pool)
+        xs = np.linspace(-40.0, 40.0, airy._SHARE_MIN_POINTS + 1)
+        assert np.array_equal(ai_values(xs), airy._ai_here(xs))
 
     def test_rejects_non_finite(self):
         for bad in [math.nan, math.inf, -math.inf]:

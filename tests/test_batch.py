@@ -180,7 +180,7 @@ from airylab.sao import SaoConfig
 
 cfg = SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12, lambda_cap=5.0)
 first = sample_sao2_spectra(cfg, 12, 1)
-executor, _ = hill._worker_pool()
+executor = hill._worker_pool()[0]
 for pid in list(executor._processes):
     os.kill(pid, signal.SIGKILL)
 try:
@@ -202,7 +202,7 @@ from airylab.fredholm import sample_sao2_spectra
 from airylab.sao import SaoConfig
 
 sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12, lambda_cap=5.0), 12, 1)
-executor, _ = hill._worker_pool()
+executor = hill._worker_pool()[0]
 print(*executor._processes)
 """
     done = _python(code)
@@ -211,6 +211,39 @@ print(*executor._processes)
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
+def test_shared_kernels_inside_a_worker_run_in_place():
+    # a worker inherits the pool's record; its shared calls must start no pool
+    code = """
+import multiprocessing, os
+import numpy as np
+import airylab.hill as hill
+from airylab.airy import ai_values
+from airylab.fredholm import sample_sao2_spectra
+from airylab.mc import spawn_rng
+from airylab.sao import SaoConfig
+from airylab.wkb import periodic_hill_pair, random_profile
+
+def kernels(_):
+    xs = np.linspace(-40.0, 40.0, 2 ** 16)
+    pair = periodic_hill_pair(random_profile(spawn_rng(3, "worker-pair"), grid_n=512))
+    spectra = sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12,
+                                            lambda_cap=5.0), 12, 1)
+    children = [p.pid for p in multiprocessing.active_children()]
+    return (os.getpid(), hill._shares_here(), children, ai_values(xs),
+            [s.eigenvalues for s in pair], [s.eigenvalues for s in spectra])
+
+executor = hill._worker_pool()[0]
+pid, shares, children, *inside = executor.submit(kernels, None).result()
+here = kernels(None)[3:]
+same = all(np.array_equal(a, b) for x, y in zip(inside[1:], here[1:]) for a, b in zip(x, y))
+print(pid != os.getpid(), shares, children, np.array_equal(inside[0], here[0]) and same,
+      hill._shares_here())
+"""
+    done = _python(code)
+    assert done.stdout.split() == ["True", "False", "[]", "True", "True"], done.stderr
 
 
 def test_import_loads_neither_the_process_pool_nor_scipy_special():
@@ -265,11 +298,27 @@ def test_monte_carlo_outputs_keep_their_digests(label):
     assert digests.label_digest(label, dict(digests.COMMANDS)[label]) == RECORDED[label]
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_fredholm_compare_on_one_cpu_prints_the_same_bytes():
+def _digest_on_one_cpu(label):
     cpu = min(os.sched_getaffinity(0))
     code = (f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
             "from airylab.cli import main; sys.exit(main(sys.argv[1:]))")
+    return _digests().digest(["-c", code, *label.split()])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_fredholm_compare_on_one_cpu_prints_the_same_bytes():
     label = "fredholm compare --s 1 --t 1 --samples 100 --sao-grid-n 4096 --seed 7"
-    digests = _digests()
-    assert digests.digest(["-c", code, *label.split()]) == RECORDED[label]
+    assert _digest_on_one_cpu(label) == RECORDED[label]
+
+
+# Airy tables and WKB pairs above a size share work on the pool, lone
+# solves and small pairs never; with one CPU every call runs in place
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("label", [
+    "hill --j 1 --xi 1 --beta 2 --grid-n 4096 --seed 7",
+    "sao spectrum --domain-l 20 --grid-n 8192 --lambda-cap 5 --seed 7",
+    "fredholm --s 1 --t 1",
+    "wkb --trials 40 --grid-n 128 --seed 7",
+])
+def test_shared_kernels_on_one_cpu_print_the_same_bytes(label):
+    assert _digest_on_one_cpu(label) == RECORDED[label]

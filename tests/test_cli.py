@@ -6,6 +6,7 @@ import pytest
 
 from airylab import cli, sao, wkb
 from airylab.cli import main
+from airylab.hill import NoisePath
 
 
 def run_cli(args, capsys):
@@ -160,6 +161,34 @@ class TestExitCodes:
 
         monkeypatch.setattr(sao, "dirichlet_spectra", costly)
         monkeypatch.setattr(wkb, "random_profile", costly)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["hill", "--lambda", "nan", "--grid-n", "64"],
+        ["sao", "count", "--lambda", "nan", "--grid-n", "64"],
+        ["hill", "--lambda", "inf", "--grid-n", "64"],
+    ])
+    def test_count_at_a_level_that_is_not_finite_is_a_domain_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["hill", "--xi", "1e-300", "--grid-n", "16"],
+        ["sao", "spectrum", "--grid-n", "16", "--domain-l", "1e-300", "--lambda-cap", "-1"],
+        ["hill", "--xi", "1e300", "--grid-n", "16"],
+        ["sao", "count", "--grid-n", "16", "--domain-l", "1e300"],
+    ])
+    def test_cell_width_without_finite_inverse_square_is_a_domain_error_before_any_work(
+            self, capsys, monkeypatch, argv):
+        def costly(*args, **kwargs):
+            raise AssertionError("drew a path before the cell width was checked")
+
+        monkeypatch.setattr(NoisePath, "sample", costly)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:")

@@ -64,6 +64,20 @@ class TestSpectrumZeroNoise:
         exact = dirichlet_fd_eigenvalues(128, 1.0)
         assert spec.eigenvalues.size == int((exact <= 500.0).sum())
 
+    def test_count_at_nan_is_a_domain_error(self):
+        # NaN sorts after every eigenvalue, so searchsorted alone would count them all
+        cfg = HillConfig(j=0, xi=1.0, beta=2.0, grid_n=128, lambda_cap=500.0)
+        spec = hill_spectrum(cfg, NoisePath.zeros(128, 1.0 / 128))
+        with pytest.raises(DomainError):
+            spec.count_below(math.nan)
+        with pytest.raises(DomainError):
+            riccati_count_hill(math.nan, cfg, NoisePath.zeros(128, 1.0 / 128))
+
+    @pytest.mark.parametrize("xi, grid_n", [(1e-300, 16), (1e300, 16), (math.inf, 16)])
+    def test_cell_width_needs_finite_inverse_square(self, xi, grid_n):
+        with pytest.raises(DomainError):
+            HillConfig(j=0, xi=xi, beta=2.0, grid_n=grid_n)
+
     def test_mismatched_path_rejected(self):
         cfg = HillConfig(j=0, xi=1.0, beta=2.0, grid_n=128, lambda_cap=10.0)
         with pytest.raises(ConfigurationError):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airylab import hill, wkb
 from airylab.errors import DomainError
 from airylab.mc import spawn_rng
-from airylab.wkb import (PotentialProfile, min_partial_sum, periodic_hill_pair,
-                         periodic_matrices, random_profile, wkb_compare)
+from airylab.wkb import (PotentialProfile, _periodic_matrix, min_partial_sum,
+                         periodic_hill_pair, random_profile, wkb_compare)
 
 
 def linear_profile(c: float, xi: float = 1.0, grid_n: int = 64) -> PotentialProfile:
@@ -76,8 +77,28 @@ class TestPeriodicPair:
         rng = spawn_rng(72, "trace")
         for _ in range(10):
             prof = random_profile(rng, grid_n=64)
-            rough, flat = periodic_matrices(prof)
+            rough, flat = _periodic_matrix(prof, True), _periodic_matrix(prof, False)
             assert np.trace(rough) == pytest.approx(np.trace(flat), rel=1e-13)
+
+
+class TestSharedPair:
+    @pytest.mark.parametrize("grid_n", [wkb._SHARE_MIN_CELLS, 512])
+    def test_shared_pair_equals_the_in_place_solves_bit_for_bit(self, grid_n):
+        rng = spawn_rng(81, "shared-pair", grid_n)
+        for _ in range(6):
+            prof = random_profile(rng, grid_n=grid_n)
+            rough, flat = periodic_hill_pair(prof)
+            for spectrum, rough in [(rough, True), (flat, False)]:
+                expected = np.linalg.eigvalsh(_periodic_matrix(prof, rough))
+                assert np.array_equal(spectrum.eigenvalues, expected)
+
+    def test_small_pairs_never_reach_the_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a pair below the share size used the pool")
+
+        monkeypatch.setattr(hill, "_in_order", no_pool)
+        periodic_hill_pair(random_profile(spawn_rng(82, "small-pair"),
+                                          grid_n=wkb._SHARE_MIN_CELLS // 2))
 
 
 class TestReferenceAssembly:
