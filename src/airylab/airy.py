@@ -12,7 +12,7 @@ which stays O(x^{-1/4}), and multiplies the exponential back in last.
 
 Each value depends on its own argument only, bit for bit, so an array of
 at least _SHARE_MIN_POINTS points is evaluated in two halves on the
-process pool's workers.
+pool's threads.
 """
 from __future__ import annotations
 
@@ -31,9 +31,10 @@ _AIP0 = _LD("0.25881940379280679840518356018920396348")
 
 _SWITCH = 8.0
 _SERIES_KMAX = 90
-# below this many points (8 ms of work on one Xeon core) a pool round trip,
-# about 2 ms, takes most of what sharing the halves saves
-_SHARE_MIN_POINTS = 2 ** 14
+# a pool round trip costs about 0.1 ms, but the halves' threads hand the
+# interpreter lock back and forth between numpy's loops: on 2 Xeon CPUs
+# 2^14 points took 5.3 ms here and 7.5 ms shared, 2^15 took 11 ms and 8-11 ms
+_SHARE_MIN_POINTS = 2 ** 15
 
 # u_k = Gamma(3k+1/2) / (54^k k! Gamma(k+1/2)) via the three-term ratio
 _U = [1.0]
@@ -118,7 +119,7 @@ def _ai_here(xs: np.ndarray) -> np.ndarray:
 def ai_values(xs: np.ndarray) -> np.ndarray:
     """Vectorized Ai values (plain doubles; underflows to 0 beyond x ~ 108).
 
-    An array of at least _SHARE_MIN_POINTS points goes to two pool workers
+    An array of at least _SHARE_MIN_POINTS points goes to two pool threads
     in halves, while the caller waits, and the halves are written into one
     output; the values are those of one evaluation here, bit for bit.
     """

@@ -112,8 +112,18 @@ class QuadratureGrid:
         object.__setattr__(self, "weights", weights)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
 def clustered_nodes(n: int, x_max: float = _X_MAX_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes mapped through an exponential stretch toward 0."""
+    """Gauss-Legendre nodes mapped through an exponential stretch toward 0.
+
+    Cached, so the arrays are shared and read-only.
+    """
     if n < 1:
         raise DomainError(f"the node rule needs at least one node, got {n}")
     u, wu = np.polynomial.legendre.leggauss(n)
@@ -122,7 +132,7 @@ def clustered_nodes(n: int, x_max: float = _X_MAX_DEFAULT) -> tuple[np.ndarray, 
     den = math.expm1(_CLUSTER_ALPHA)
     x = x_max * np.expm1(_CLUSTER_ALPHA * u) / den
     dx = x_max * _CLUSTER_ALPHA * np.exp(_CLUSTER_ALPHA * u) / den
-    return x, wu * dx
+    return _read_only(x, wu * dx)
 
 
 def kernel_grid(params: KernelParams, n_nodes: int = 96,
@@ -133,8 +143,10 @@ def kernel_grid(params: KernelParams, n_nodes: int = 96,
                           x_max=x_max)
 
 
+@functools.lru_cache(maxsize=16)
 def _gl_panels(a: float, b: float, panel_len: float = 2.0,
                order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of the given order on each panel of [a, b]; cached, read-only."""
     xg, wg = np.polynomial.legendre.leggauss(order)
     n_pan = max(1, int(math.ceil((b - a) / panel_len)))
     edges = np.linspace(a, b, n_pan + 1)
@@ -142,7 +154,7 @@ def _gl_panels(a: float, b: float, panel_len: float = 2.0,
     halves = 0.5 * np.diff(edges)
     nodes = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
     weights = (halves[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+    return _read_only(nodes, weights)
 
 
 def _fermi(r: np.ndarray, params: KernelParams) -> np.ndarray:

@@ -9,32 +9,35 @@ operator: Hill levels (V = j xi), the stochastic Airy operator (V = x) and
 the WKB comparison operators (V = 0, f the drift profile) all build on it.
 
 Eigenvalues of the Dirichlet (tridiagonal) matrix come from LAPACK Sturm
-bisection (stebz); the periodic matrix carries two corner entries and is
+bisection (dstebz, called through ctypes so that it runs without the
+interpreter lock); the periodic matrix carries two corner entries and is
 solved densely, which restricts periodic grids to <= 4096 cells.
 dirichlet_spectra solves a batch of paths on every usable CPU, and
 _shared_map runs the parts of one large call (an Airy table, a pair of
-periodic WKB solves) on the same process pool.
+periodic WKB solves) on the same pool of threads.  The work on the pool
+(dstebz, numpy's array loops and LAPACK) releases the lock, so the
+threads compute in parallel and share the caller's arrays without copies.
 """
 from __future__ import annotations
 
-import atexit
 import collections
+import ctypes
 import enum
 import functools
 import itertools
 import math
 import os
+import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import ConfigurationError, DomainError, IncompleteSpectrumError
+from .errors import ConfigurationError, DomainError, IncompleteSpectrumError, ResolutionError
 
 _DENSE_MAX = 4096
-# a batch travels to the workers in groups of about this many matrix rows,
-# at most this many groups per worker in flight
+# a batch goes to the pool's threads in groups of about this many matrix rows,
+# at most this many groups per pool thread in flight
 _GROUP_ROWS = 2 ** 14
 _GROUPS_PER_WORKER = 2
 # below this many cells drawing and assembling a path costs about as much
@@ -42,6 +45,9 @@ _GROUPS_PER_WORKER = 2
 _POOL_MIN_CELLS = 2048
 _INF = math.inf
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+# dstebz(RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
+# ISPLIT, WORK, IWORK, INFO): c for char *, i for int *, d for double *
+_DSTEBZ_ARGS = "cciddiidddiidiidii"
 
 
 class Boundary(enum.Enum):
@@ -201,22 +207,71 @@ class HillConfig:
         return CellOperator.on_path(lambda y: level, self.beta, self.xi, self.grid_n, path)
 
 
+@functools.cache
+def _dstebz():
+    """LAPACK dstebz as a ctypes function, which releases the interpreter lock while it runs.
+
+    The pointer comes from scipy's cython_lapack, the LAPACK that scipy's own
+    wrapper calls; that wrapper holds the lock.  The capsule's signature is
+    checked argument by argument, and a mismatch fails here, at first use.
+    """
+    from scipy.linalg import cython_lapack  # deferred: importing airylab loads no scipy
+    capsule = cython_lapack.__pyx_capi__["dstebz"]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
+    signature = capsule_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    text = signature.decode()
+    args = text[text.find("(") + 1:text.rfind(")")].split(", ")
+    kinds = "".join("c" if a == "char *" else "i" if a == "int *"
+                    else "d" if a == "double *" or a.endswith("_lapack_d *") else "?"
+                    for a in args)
+    if not text.startswith("void (") or kinds != _DSTEBZ_ARGS:
+        raise RuntimeError(f"scipy's dstebz has the signature {text!r}; "
+                           f"expected pointer arguments {_DSTEBZ_ARGS}")
+    address = capsule_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(_DSTEBZ_ARGS))(address)
+
+
 def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, cap: float) -> np.ndarray:
-    """All eigenvalues <= cap of a symmetric tridiagonal matrix (Sturm bisection)."""
+    """All eigenvalues <= cap of a symmetric tridiagonal matrix (Sturm bisection).
+
+    LAPACK dstebz bisects (lower, cap] to full precision (ABSTOL 0) and
+    returns the eigenvalues in ascending order, with the arguments and
+    workspace of scipy's eigvalsh_tridiagonal(select="v",
+    lapack_driver="stebz"), bit for bit.  Unlike that wrapper it releases
+    the interpreter lock, so the pool's threads solve in parallel.  A
+    bisection that fails (LAPACK INFO != 0) is a ResolutionError.
+    """
     lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0) if off.size else float(diag.min() - 1.0)
-    if lower > cap:
+    if lower >= cap:
         return np.empty(0)
-    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(lower, cap),
-                                check_finite=False, lapack_driver="stebz")
+    d = np.ascontiguousarray(diag, dtype=float)
+    e = np.ascontiguousarray(off, dtype=float)
+    n = d.size
+    if e.size != n - 1:
+        raise ConfigurationError(f"off-diagonal of {e.size} entries for {n} diagonal entries")
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(k, dtype=np.intc) for k in (n, n, 3 * n))
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    one = ctypes.byref(ctypes.c_int(1))
+    _dstebz()(b"V", b"E", ctypes.byref(ctypes.c_int(n)),
+              ctypes.byref(ctypes.c_double(lower)), ctypes.byref(ctypes.c_double(cap)),
+              one, one, ctypes.byref(ctypes.c_double(0.0)), d.ctypes.data, e.ctypes.data,
+              ctypes.byref(m), ctypes.byref(nsplit), w.ctypes.data, iblock.ctypes.data,
+              isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
+        raise ResolutionError(f"Sturm bisection failed on an order-{n} matrix below {cap} "
+                              f"(LAPACK dstebz INFO = {info.value})")
+    return w[:m.value]
 
 
 def hill_spectrum(config, path: NoisePath) -> SpectrumSample:
     """Eigenvalues <= lambda_cap under the configured boundary condition.
 
     config is a HillConfig or a SaoConfig (whose boundary is Dirichlet).
-    The solve runs here: split between two pool workers at nodes of
-    LAPACK's bisection tree it keeps every bit, but saved only about 11 %
-    at 2^14 cells on 2 CPUs (CHANGES.md).
+    The solve runs here: split in two at nodes of LAPACK's bisection tree
+    it keeps every bit, but saved only about 11 % at 2^14 cells on 2 CPUs
+    when the pool was one of processes (CHANGES.md).
     """
     op = config.operator(path)
     if config.boundary is Boundary.DIRICHLET:
@@ -239,41 +294,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.inside = True
+
+
 @functools.cache
 def _worker_pool():
-    """(executor, workers, pid): the process pool, made by the first call that needs it.
+    """(executor, workers): one thread per usable CPU, made by the first call that needs it.
 
-    Workers are forked where the platform allows it, so they start at once
-    and see the modules as they were at that moment, this cache included:
-    pid is the maker's, which in a worker is not its own, so _shares_here
-    keeps a worker's work in place and a worker never starts a pool.  The pool is shut down
-    at exit, while the interpreter is still whole.  A call that finds it
-    broken clears this cache, so the next call starts a new pool.
+    Each thread marks itself when it starts, so _shares_here keeps a pool
+    thread's work in place and a pool thread never waits on the pool.  Idle
+    threads are joined at exit by concurrent.futures itself.
     """
-    import concurrent.futures  # deferred: importing airylab stays as fast
-    import multiprocessing
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    from concurrent.futures import ThreadPoolExecutor  # deferred: importing airylab stays as fast
     workers = _usable_cpus()
-    executor = concurrent.futures.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context(method))
-    atexit.register(executor.shutdown)
-    return executor, workers, os.getpid()
+    executor = ThreadPoolExecutor(workers, thread_name_prefix="airylab",
+                                  initializer=_mark_pool_thread)
+    return executor, workers
 
 
 def _shares_here() -> bool:
-    """Whether work may go to the pool: more than one usable CPU, in the process that made it."""
-    return _usable_cpus() > 1 and _worker_pool()[2] == os.getpid()
+    """Whether work may go to the pool: more than one usable CPU, outside the pool's threads."""
+    return _usable_cpus() > 1 and not getattr(_pool_thread, "inside", False)
 
 
 def _in_order(fn: Callable, tasks: Iterable) -> Iterator:
     """fn over tasks on the pool, yielded in submission order.
 
-    fn is a module-level function, which the workers look up by name.  At
-    most _GROUPS_PER_WORKER tasks per worker are pending, so tasks are
-    drawn from the iterable only as fast as the workers take them.
+    At most _GROUPS_PER_WORKER tasks per thread are pending, so tasks are
+    drawn from the iterable only as fast as the threads take them.
     """
-    from concurrent.futures.process import BrokenProcessPool
-    executor, workers, _ = _worker_pool()
+    executor, workers = _worker_pool()
     pending = collections.deque()
     try:
         for task in tasks:
@@ -282,22 +336,18 @@ def _in_order(fn: Callable, tasks: Iterable) -> Iterator:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
-    except BrokenProcessPool:
-        _worker_pool.cache_clear()  # a worker died; the next call starts a new pool
-        raise
     finally:
         for future in pending:
             future.cancel()
 
 
 def _shared_map(fn: Callable, tasks: list) -> list:
-    """[fn(task) for task in tasks], every call on a pool worker while the caller waits.
+    """[fn(task) for task in tasks], every call on a pool thread while the caller waits.
 
-    The caller computes no share itself: a share run here would hold the
-    interpreter lock that the executor's feeder thread needs to send the
-    others.  Where _shares_here is false the calls run here, in order.
-    fn must be a pure module-level function for the results not to depend
-    on where they ran.
+    The caller computes no share itself, so no more calls run at once than
+    there are usable CPUs.  Where _shares_here is false (one usable CPU, or
+    a call from a pool thread) the calls run here, in order.  fn must be
+    pure for the results not to depend on where they ran.
     """
     if _shares_here():
         return list(_in_order(fn, tasks))
@@ -327,10 +377,10 @@ def dirichlet_spectra(config, paths: Iterable[NoisePath]) -> Iterator[SpectrumSa
     config is a HillConfig with the Dirichlet boundary or a SaoConfig.  The
     spectra are yielded in path order.  Paths are taken and assembled here,
     a group of about _GROUP_ROWS rows at a time, and only as fast as the
-    solves consume them; the solves run on a process pool with one worker
-    per usable CPU.  Each solve is a pure function of its matrix, so the
+    solves consume them; the solves run on a pool with one thread per
+    usable CPU.  Each solve is a pure function of its matrix, so the
     spectra are the same, bit for bit, for any number of CPUs.  With one
-    usable CPU, in a pool worker, or for a batch of one group or of fewer
+    usable CPU, on a pool thread, or for a batch of one group or of fewer
     than _POOL_MIN_CELLS cells the solves run here.
     """
     if config.boundary is not Boundary.DIRICHLET:

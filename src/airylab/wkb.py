@@ -19,8 +19,9 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .hill import CellOperator, SpectrumSample, _shared_map
 
-# below this many cells a pair of dense solves (2 ms at 128 cells, 9 ms at
-# 256 on one Xeon core) saves little more than a pool round trip, about 2 ms
+# a pool round trip costs about 0.1 ms; on 2 Xeon CPUs the pair took about
+# as long on two threads as here at 256 and 384 cells (9-10 and 21-23 ms,
+# within the spread of repeats) and about half as long at 512 (25 against 46)
 _SHARE_MIN_CELLS = 256
 
 
@@ -91,9 +92,8 @@ def periodic_hill_pair(profile: PotentialProfile) -> tuple[SpectrumSample, Spect
     """Full spectra of H (potential f') and H~ (constant mean slope).
 
     From _SHARE_MIN_CELLS cells on, the two dense solves run on two pool
-    workers while the caller waits.  Each worker gets the profile and
-    builds its own matrix, and the spectra are those of solving here, bit
-    for bit.
+    threads while the caller waits.  Each thread builds its own matrix from
+    the profile, and the spectra are those of solving here, bit for bit.
     """
     pair = [(profile, True), (profile, False)]
     if profile.grid_n >= _SHARE_MIN_CELLS:

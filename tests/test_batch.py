@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -145,9 +146,8 @@ class TestSameBits:
         assert [(e.mean, e.stderr) for e in pooled] == [(e.mean, e.stderr) for e in serial]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker error is staged in a forked pool")
 def test_worker_error_reaches_the_caller_with_its_type():
-    # the patched solver raises; forked workers inherit the patch
+    # the patched solver raises on the pool's threads
     code = """
 import airylab.hill as hill
 from airylab.errors import DomainError
@@ -169,55 +169,32 @@ except DomainError as exc:
 
 
 @pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
-def test_pool_with_a_killed_worker_is_replaced():
-    code = """
-import os, signal
-import numpy as np
-import airylab.hill as hill
-from concurrent.futures.process import BrokenProcessPool
-from airylab.fredholm import sample_sao2_spectra
-from airylab.sao import SaoConfig
+def test_two_solves_on_the_pool_overlap_in_time():
+    # dstebz runs without the interpreter lock: two solves on two pool threads
+    # take about the wall time of one.  With a solver that holds the lock the
+    # two run one after the other, and the wall covers both CPU times.
+    cfg = SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 14, lambda_cap=36.0)
+    diag, off = cfg.operator(NoisePath.zeros(cfg.grid_n, cfg.h)).dirichlet()
 
-cfg = SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12, lambda_cap=5.0)
-first = sample_sao2_spectra(cfg, 12, 1)
-executor = hill._worker_pool()[0]
-for pid in list(executor._processes):
-    os.kill(pid, signal.SIGKILL)
-try:
-    sample_sao2_spectra(cfg, 12, 1)
-except BrokenProcessPool:
-    print("broken", hill._worker_pool.cache_info().currsize == 0)
-again = sample_sao2_spectra(cfg, 12, 1)
-print(all(np.array_equal(a.eigenvalues, b.eigenvalues) for a, b in zip(first, again)))
-"""
-    done = _python(code)
-    assert done.stdout.split() == ["broken", "True", "True"], done.stderr
+    def timed_solve(_):
+        wall, cpu = time.perf_counter(), time.thread_time()
+        ev = hill.tridiagonal_eigenvalues(diag, off, cfg.lambda_cap)
+        return ev, wall, time.perf_counter(), time.thread_time() - cpu
+
+    ratios = []
+    for _ in range(3):  # another load on the machine may keep a CPU busy for a while
+        (ev_a, start_a, end_a, cpu_a), (ev_b, start_b, end_b, cpu_b) = hill._in_order(
+            timed_solve, [0, 1])
+        assert np.array_equal(ev_a, ev_b) and ev_a.size > 0
+        ratios.append((max(end_a, end_b) - min(start_a, start_b)) / (cpu_a + cpu_b))
+    assert min(ratios) < 0.75, ratios
 
 
 @pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
-def test_no_worker_outlives_the_interpreter():
+def test_shared_kernels_on_a_pool_thread_run_in_place():
+    # every pool thread runs the kernels at once, so a pool thread that waited
+    # on the pool would wait for ever and the run would hit its timeout
     code = """
-import airylab.hill as hill
-from airylab.fredholm import sample_sao2_spectra
-from airylab.sao import SaoConfig
-
-sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12, lambda_cap=5.0), 12, 1)
-executor = hill._worker_pool()[0]
-print(*executor._processes)
-"""
-    done = _python(code)
-    pids = [int(pid) for pid in done.stdout.split()]
-    assert done.returncode == 0 and pids, done.stderr
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-
-
-@pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
-def test_shared_kernels_inside_a_worker_run_in_place():
-    # a worker inherits the pool's record; its shared calls must start no pool
-    code = """
-import multiprocessing, os
 import numpy as np
 import airylab.hill as hill
 from airylab.airy import ai_values
@@ -231,26 +208,46 @@ def kernels(_):
     pair = periodic_hill_pair(random_profile(spawn_rng(3, "worker-pair"), grid_n=512))
     spectra = sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12,
                                             lambda_cap=5.0), 12, 1)
-    children = [p.pid for p in multiprocessing.active_children()]
-    return (os.getpid(), hill._shares_here(), children, ai_values(xs),
-            [s.eigenvalues for s in pair], [s.eigenvalues for s in spectra])
+    return (hill._shares_here(), ai_values(xs), [s.eigenvalues for s in pair],
+            [s.eigenvalues for s in spectra])
 
-executor = hill._worker_pool()[0]
-pid, shares, children, *inside = executor.submit(kernels, None).result()
-here = kernels(None)[3:]
-same = all(np.array_equal(a, b) for x, y in zip(inside[1:], here[1:]) for a, b in zip(x, y))
-print(pid != os.getpid(), shares, children, np.array_equal(inside[0], here[0]) and same,
-      hill._shares_here())
+executor, workers = hill._worker_pool()
+futures = [executor.submit(kernels, None) for _ in range(workers)]
+results = [future.result(timeout=60) for future in futures]
+here = kernels(None)
+print(*[result[0] for result in results], hill._shares_here(),
+      all(np.array_equal(result[1], here[1])
+          and all(np.array_equal(a, b) for k in (2, 3) for a, b in zip(result[k], here[k]))
+          for result in results))
 """
     done = _python(code)
-    assert done.stdout.split() == ["True", "False", "[]", "True", "True"], done.stderr
+    workers = hill._usable_cpus()
+    assert done.stdout.split() == ["False"] * workers + ["True", "True"], done.stderr
+
+
+@pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
+def test_the_interpreter_exits_promptly_after_using_the_pool():
+    code = """
+import threading, time
+from airylab.fredholm import sample_sao2_spectra
+from airylab.sao import SaoConfig
+
+sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12, lambda_cap=5.0), 12, 1)
+print(sum(t.name.startswith("airylab") for t in threading.enumerate()), time.time())
+"""
+    done = _python(code)
+    exited = time.time()
+    assert done.returncode == 0, done.stderr
+    threads, last_line = done.stdout.split()
+    assert int(threads) == hill._usable_cpus()
+    assert exited - float(last_line) < 5.0
 
 
 def test_import_loads_neither_the_process_pool_nor_scipy_special():
     code = """
 import sys
 import airylab
-print(*sorted({"multiprocessing", "concurrent.futures.process", "scipy.special"}
+print(*sorted({"multiprocessing", "concurrent.futures", "scipy.linalg", "scipy.special"}
               & set(sys.modules)))
 """
     done = _python(code)

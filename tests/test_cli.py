@@ -194,6 +194,15 @@ class TestExitCodes:
         assert captured.err.startswith("domain error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("xi", ["1e-140", "1e-150"])
+    def test_bisection_that_fails_is_a_resolution_error(self, capsys, xi):
+        # 1/h^2 is finite, but dstebz cannot bisect a matrix of that scale down to the cap
+        assert main(["hill", "--xi", xi, "--grid-n", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resolution error:")
+        assert "dstebz INFO = 1" in captured.err
+        assert captured.out == ""
+
     def test_plain_value_error_is_not_invalid_input(self, capsys, monkeypatch):
         def broken(args):
             raise ValueError("a bug, not a user error")

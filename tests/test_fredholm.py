@@ -67,6 +67,22 @@ class TestKernelEval:
             KernelParams(s=1.0, t=-2.0)
 
 
+class TestCachedRules:
+    @pytest.mark.parametrize("rule, args", [
+        (clustered_nodes, (96, 16.0)), (clustered_nodes, (192,)), (clustered_nodes, (64,)),
+        (fredholm._gl_panels, (-40.0 / 0.5 ** (1.0 / 3.0), 40.0)),
+        (fredholm._gl_panels, (-40.0, 40.0, 2.0, 24)), (fredholm._gl_panels, (-2.52, 14.0)),
+    ])
+    def test_cached_rule_is_the_fresh_one_and_read_only(self, rule, args):
+        cached = rule(*args)
+        assert rule(*args) is cached
+        for kept, fresh in zip(cached, rule.__wrapped__(*args)):
+            assert kept is not fresh and np.array_equal(kept, fresh)
+            assert kept.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
+
+
 class TestQuadratureGrid:
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 """Hill operators: exact discrete spectra, Riccati counting, linear statistics."""
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import dataclasses
 
@@ -7,12 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
 
-from airylab.errors import ConfigurationError, DomainError, IncompleteSpectrumError
+from airylab import hill
+from airylab.errors import (ConfigurationError, DomainError, IncompleteSpectrumError,
+                            ResolutionError)
 from airylab.hill import (Boundary, HillConfig, NoisePath, SpectrumSample,
-                          counting_integral, hill_spectrum, linear_statistic,
+                          counting_integral, dirichlet_spectra, hill_spectrum, linear_statistic,
                           riccati_cell_counts, riccati_count_hill, tridiagonal_eigenvalues)
 from airylab.mc import spawn_rng
+from airylab.sao import SaoConfig, ldp_estimate
 
 
 def dirichlet_fd_eigenvalues(grid_n, xi, shift=0.0):
@@ -213,6 +219,124 @@ class TestReferenceAssembly:
         for lam in np.linspace(cfg.j * cfg.xi, 4.0 / h ** 2, 7):
             assert riccati_count_hill(lam, cfg, path) == int(
                 riccati_cell_counts(rates - lam, h).sum())
+
+
+def _scipy_stebz(diag, off, cap):
+    """scipy's stebz wrapper on (lower, cap], lower as tridiagonal_eigenvalues chooses it."""
+    lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0) if off.size else float(diag.min() - 1.0)
+    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(lower, cap),
+                                check_finite=False, lapack_driver="stebz")
+
+
+def _solved(monkeypatch, run):
+    """(diag, off, cap) of every tridiagonal solve that run() makes, on any thread."""
+    seen = []
+    solve = hill.tridiagonal_eigenvalues
+
+    def recording(diag, off, cap):
+        seen.append((diag.copy(), off, cap))
+        return solve(diag, off, cap)
+
+    monkeypatch.setattr(hill, "tridiagonal_eigenvalues", recording)
+    run()
+    monkeypatch.setattr(hill, "tridiagonal_eigenvalues", solve)
+    return seen
+
+
+class TestLapackBinding:
+    """tridiagonal_eigenvalues calls dstebz itself; scipy's wrapper is the oracle, bit for bit."""
+
+    def _assert_same_bits(self, matrices, at_least):
+        assert len(matrices) >= at_least
+        found = 0
+        for diag, off, cap in matrices:
+            got = tridiagonal_eigenvalues(diag, off, cap)
+            assert np.array_equal(got, _scipy_stebz(diag, off, cap))
+            found += got.size
+        return found
+
+    def test_ldp_estimate_matrices(self, monkeypatch):
+        # criterion 7's drifted SAO paths, 2^11 cells, caps t^{2/3}
+        matrices = []
+        for t in (4.0, 8.0, 16.0):
+            matrices += _solved(monkeypatch, lambda: ldp_estimate(
+                -1.0, t, 2.0, n_samples=100, seed=91, use_importance=True))
+        assert {cap for _, _, cap in matrices} == {t ** (2.0 / 3.0) for t in (4.0, 8.0, 16.0)}
+        assert self._assert_same_bits(matrices, 300) > 0
+
+    @pytest.mark.parametrize("domain_l, cap", [(40.0, 36.0), (15.0, 9.0)])
+    def test_sao_matrices_at_two_to_the_fourteen(self, monkeypatch, domain_l, cap):
+        cfg = SaoConfig(beta=2.0, domain_l=domain_l, grid_n=2 ** 14, lambda_cap=cap)
+        rng = spawn_rng(92, "binding-sao", int(cap))
+        paths = [NoisePath.sample(rng, cfg.grid_n, cfg.h) for _ in range(8)]
+        matrices = _solved(monkeypatch, lambda: list(dirichlet_spectra(cfg, paths)))
+        assert self._assert_same_bits(matrices, 8) > 8
+
+    def test_hill_matrices_over_beta_and_level(self, monkeypatch):
+        rng = spawn_rng(93, "binding-hill")
+        matrices = []
+        for beta in (0.5, 1.0, 2.0, 4.0):
+            for j in range(4):
+                cfg = HillConfig(j=j, xi=1.0, beta=beta, grid_n=2 ** 14, lambda_cap=160.0)
+                paths = [NoisePath.sample(rng, cfg.grid_n, cfg.h) for _ in range(3)]
+                matrices += _solved(monkeypatch, lambda: list(dirichlet_spectra(cfg, paths)))
+        assert self._assert_same_bits(matrices, 48) > 48
+
+    def test_matrices_that_split(self):
+        # one zero off-diagonal: dstebz bisects two blocks and merges them in order
+        rng = np.random.default_rng(94)
+        matrices = []
+        for _ in range(120):
+            n = int(rng.integers(2, 200))
+            diag = rng.normal(0.0, 3.0, n)
+            off = rng.normal(0.0, 1.0, n - 1)
+            off[rng.integers(0, n - 1)] = 0.0
+            matrices.append((diag, off, float(rng.uniform(-3.0, 3.0))))
+        assert self._assert_same_bits(matrices, 120) > 120
+
+    def test_ranges_that_hold_no_eigenvalue(self):
+        rng = spawn_rng(95, "binding-empty")
+        cfg = SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 11, lambda_cap=5.0)
+        matrices = []
+        for _ in range(20):
+            diag, off = cfg.operator(NoisePath.sample(rng, cfg.grid_n, cfg.h)).dirichlet()
+            lowest = tridiagonal_eigenvalues(diag, off, cfg.lambda_cap)[0]
+            matrices.append((diag, off, lowest - 1e-3))
+        assert self._assert_same_bits(matrices, 20) == 0
+
+    def test_concurrent_solves_keep_their_bits(self):
+        # more threads than CPUs, switching often: each solve owns its workspace
+        rng = spawn_rng(97, "binding-threads")
+        cfg = SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 11, lambda_cap=5.0)
+        matrices = [cfg.operator(NoisePath.sample(rng, cfg.grid_n, cfg.h)).dirichlet()
+                    for _ in range(64)]
+        serial = [tridiagonal_eigenvalues(diag, off, cfg.lambda_cap) for diag, off in matrices]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4 * hill._usable_cpus()) as executor:
+                threaded = list(executor.map(
+                    lambda m: tridiagonal_eigenvalues(*m, cfg.lambda_cap), matrices, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
+
+    def test_failed_bisection_is_a_resolution_error(self):
+        # 1/h^2 = 2.6e281 is finite, but dstebz cannot bisect down to a cap of 200
+        cfg = HillConfig(j=0, xi=1e-140, beta=2.0, grid_n=16, lambda_cap=200.0)
+        path = NoisePath.sample(spawn_rng(96, "binding-info"), cfg.grid_n, cfg.h)
+        with pytest.raises(ResolutionError, match="INFO = 1"):
+            hill_spectrum(cfg, path)
+
+    def test_off_diagonal_of_the_wrong_length_is_rejected_before_lapack(self):
+        with pytest.raises(ConfigurationError, match="off-diagonal"):
+            tridiagonal_eigenvalues(np.full(8, 2.0), np.full(8, -1.0), 1.0)
+
+    def test_a_capsule_of_another_signature_fails_at_binding(self, monkeypatch):
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dstebz",
+                            cython_lapack.__pyx_capi__["dsterf"])
+        with pytest.raises(RuntimeError, match="signature"):
+            hill._dstebz.__wrapped__()
 
 
 class TestInterlacing:
