@@ -67,6 +67,10 @@ _CLUSTER_ALPHA = 2.0
 _MIN_NODES = 40
 # Ai(u)^2 < 1e-31 beyond u = 14, so the integrals of airy_moments stop there
 _AIRY_U_MAX = 14.0
+# a Gauss-Legendre window of more panels than this is refused: at 256
+# panels of length 2 the fine Airy table of 192 nodes holds 9.4 MB, and the
+# determinant's r-window [-40/t^{1/3}, 40] fits for t >= 6.1e-4
+_MAX_PANELS = 256
 
 
 @dataclass(frozen=True)
@@ -137,16 +141,38 @@ def clustered_nodes(n: int, x_max: float = _X_MAX_DEFAULT) -> tuple[np.ndarray, 
 
 def kernel_grid(params: KernelParams, n_nodes: int = 96,
                 x_max: float = _X_MAX_DEFAULT) -> QuadratureGrid:
+    """n_nodes clustered nodes on [0, x_max] and the r-window [-40/t^{1/3}, 40].
+
+    x_max must be finite and positive, and small enough that the smallest
+    node lies below 14 + 40/t^{1/3}: beyond that point Ai(x + r)^2 < 1e-31
+    for every r of the window, so a grid with every node there sees a zero
+    kernel and its determinant reads 1 whatever s is (at 96 nodes and t = 1
+    this holds from x_max = 1.11e6 on).  The window may span at most
+    _MAX_PANELS = 256 panels of length 2, which takes t >= 6.1e-4.  Each
+    bound is a DomainError, raised before any Airy table is built.
+    """
+    if not 0.0 < x_max < math.inf:
+        raise DomainError(f"x_max must be finite and positive, got {x_max}")
     nodes, weights = clustered_nodes(n_nodes, x_max)
-    return QuadratureGrid(nodes=nodes, weights=weights,
-                          r_cut_low=-_R_CUT / params.t13, r_cut_high=_R_CUT,
+    r_lo = -_R_CUT / params.t13
+    if nodes[0] >= _AIRY_U_MAX - r_lo:
+        raise DomainError(f"x_max = {x_max} puts all {n_nodes} nodes beyond "
+                          f"{_AIRY_U_MAX - r_lo:.6g}, where Ai(x + r)^2 < 1e-31 "
+                          "on the whole r-window")
+    return QuadratureGrid(nodes=nodes, weights=weights, r_cut_low=r_lo, r_cut_high=_R_CUT,
                           x_max=x_max)
 
 
 @functools.lru_cache(maxsize=16)
 def _gl_panels(a: float, b: float, panel_len: float = 2.0,
                order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of the given order on each panel of [a, b]; cached, read-only."""
+    """Gauss-Legendre rule of the given order on each panel of [a, b]; cached, read-only.
+
+    More than _MAX_PANELS panels is a DomainError, raised before any is built.
+    """
+    if (b - a) / panel_len > _MAX_PANELS:
+        raise DomainError(f"the window [{a:.6g}, {b:.6g}] needs more than {_MAX_PANELS} "
+                          f"panels of length {panel_len}")
     xg, wg = np.polynomial.legendre.leggauss(order)
     n_pan = max(1, int(math.ceil((b - a) / panel_len)))
     edges = np.linspace(a, b, n_pan + 1)

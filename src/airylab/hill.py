@@ -14,8 +14,9 @@ interpreter lock); the periodic matrix carries two corner entries and is
 solved densely, which restricts periodic grids to <= 4096 cells.
 dirichlet_spectra solves a batch of paths on every usable CPU, and
 _shared_map runs the parts of one large call (an Airy table, a pair of
-periodic WKB solves) on the same pool of threads.  The work on the pool
-(dstebz, numpy's array loops and LAPACK) releases the lock, so the
+periodic WKB solves, the bisection of a lone Dirichlet solve through
+LAPACK's dlaebz) on the same pool of threads.  The work on the pool
+(dstebz, dlaebz, numpy's array loops and LAPACK) releases the lock, so the
 threads compute in parallel and share the caller's arrays without copies.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import itertools
 import math
 import os
+import sys
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -43,11 +45,27 @@ _GROUPS_PER_WORKER = 2
 # below this many cells drawing and assembling a path costs about as much
 # as solving it, and the pool is no faster than solving in place
 _POOL_MIN_CELLS = 2048
+# a lone Dirichlet solve of at least this many rows, made outside the pool,
+# shares its bisection between two pool threads.  On 2 Xeon CPUs (medians
+# of 9 x 20 solves, dstebz -> shared) a Hill cap-160 and an SAO cap-5 solve
+# took 2.33 -> 2.47 and 1.71 -> 2.20 ms at 2047 rows, 4.38 -> 3.74 and
+# 3.18 -> 3.20 ms at 4095, 8.14 -> 6.12 and 6.35 -> 5.64 ms at 8191
+_SHARE_MIN_ROWS = 4095
 _INF = math.inf
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+# the pointer arguments of the LAPACK routines called through ctypes, c for
+# char *, i for int *, d for double *:
 # dstebz(RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
-# ISPLIT, WORK, IWORK, INFO): c for char *, i for int *, d for double *
-_DSTEBZ_ARGS = "cciddiidddiidiidii"
+#        ISPLIT, WORK, IWORK, INFO)
+# dlaebz(IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2,
+#        NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO)
+_LAPACK_ARGS = {"dstebz": "cciddiidddiidiidii", "dlaebz": "iiiiiiddddddiddiidii"}
+# dstebz's constants: DLAMCH('P') and DLAMCH('S'), the widening of the
+# Gershgorin interval and the relative tolerance RELFAC * ULP
+_ULP = 2.0 ** -52
+_SAFEMN = sys.float_info.min
+_FUDGE = 2.1
+_RTOLI = 2.0 * _ULP
 
 
 class Boundary(enum.Enum):
@@ -208,15 +226,16 @@ class HillConfig:
 
 
 @functools.cache
-def _dstebz():
-    """LAPACK dstebz as a ctypes function, which releases the interpreter lock while it runs.
+def _lapack(name: str):
+    """LAPACK's routine name as a ctypes function, which runs without the interpreter lock.
 
     The pointer comes from scipy's cython_lapack, the LAPACK that scipy's own
-    wrapper calls; that wrapper holds the lock.  The capsule's signature is
-    checked argument by argument, and a mismatch fails here, at first use.
+    wrappers call; they hold the lock.  The capsule's signature is checked
+    argument by argument against _LAPACK_ARGS, and a mismatch fails here,
+    at first use.
     """
     from scipy.linalg import cython_lapack  # deferred: importing airylab loads no scipy
-    capsule = cython_lapack.__pyx_capi__["dstebz"]
+    capsule = cython_lapack.__pyx_capi__[name]
     capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)
     capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
     signature = capsule_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
@@ -225,11 +244,158 @@ def _dstebz():
     kinds = "".join("c" if a == "char *" else "i" if a == "int *"
                     else "d" if a == "double *" or a.endswith("_lapack_d *") else "?"
                     for a in args)
-    if not text.startswith("void (") or kinds != _DSTEBZ_ARGS:
-        raise RuntimeError(f"scipy's dstebz has the signature {text!r}; "
-                           f"expected pointer arguments {_DSTEBZ_ARGS}")
+    if not text.startswith("void (") or kinds != _LAPACK_ARGS[name]:
+        raise RuntimeError(f"scipy's {name} has the signature {text!r}; "
+                           f"expected pointer arguments {_LAPACK_ARGS[name]}")
     address = capsule_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, signature)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(_DSTEBZ_ARGS))(address)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(kinds))(address)
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _double(value: float):
+    return ctypes.byref(ctypes.c_double(value))
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, lower: float, cap: float) -> tuple[np.ndarray, int]:
+    """(eigenvalues in (lower, cap], INFO) from one dstebz call, as scipy's wrapper makes it."""
+    n = d.size
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(k, dtype=np.intc) for k in (n, n, 3 * n))
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    _lapack("dstebz")(b"V", b"E", _int(n), _double(lower), _double(cap), _int(1), _int(1),
+                      _double(0.0), d.ctypes.data, e.ctypes.data, ctypes.byref(m),
+                      ctypes.byref(nsplit), w.ctypes.data, iblock.ctypes.data,
+                      isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+                      ctypes.byref(info))
+    return w[:m.value], info.value
+
+
+@dataclass(frozen=True)
+class _Sturm:
+    """A tridiagonal matrix and dstebz's tolerances, as dlaebz reads them."""
+
+    d: np.ndarray
+    e: np.ndarray
+    e2: np.ndarray
+    atoli: float
+    pivmin: float
+
+    def bisect(self, ijob: int, nitmax: int, ab: np.ndarray, nab: np.ndarray,
+               count: int) -> tuple[int, int]:
+        """(MOUT, INFO) of dlaebz on the first count intervals of ab and nab, both (2, mmax).
+
+        IJOB = 1 counts the eigenvalues at both ends of each interval into
+        nab, and MOUT is how many lie inside.  IJOB = 2 halves every open
+        interval up to nitmax times, keeping each half that holds an
+        eigenvalue: rows [0, MOUT - INFO) are then closed, rows
+        [MOUT - INFO, MOUT) still open.
+        """
+        mmax = ab.shape[1]
+        c, work = np.empty(mmax), np.empty(mmax)
+        iwork = np.empty(mmax, dtype=np.intc)
+        mout, info = ctypes.c_int(), ctypes.c_int()
+        _lapack("dlaebz")(_int(ijob), _int(nitmax), _int(self.d.size), _int(mmax), _int(count),
+                          _int(0), _double(self.atoli), _double(_RTOLI), _double(self.pivmin),
+                          self.d.ctypes.data, self.e.ctypes.data, self.e2.ctypes.data,
+                          iwork.ctypes.data, ab.ctypes.data, c.ctypes.data, ctypes.byref(mout),
+                          nab.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+                          ctypes.byref(info))
+        return mout.value, info.value
+
+
+def _balanced_half(counts: list[int]) -> list[int] | None:
+    """Indices of counts summing to half their total, rounded down, if the total is 2 or more.
+
+    Those intervals and the rest then hold numbers of eigenvalues that
+    differ by at most one.
+    """
+    target = sum(counts) // 2
+    reach = {0: []}
+    for i, count in enumerate(counts):
+        for total, picked in list(reach.items()):
+            if total + count <= target:
+                reach.setdefault(total + count, picked + [i])
+    return reach.get(target) if target > 0 else None
+
+
+def _finish(task: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bisect the intervals of one share to the end: (ab, nab, INFO) of all its intervals."""
+    sturm, ab, nab, nitmax = task
+    # room for every interval the share can become: each holds an eigenvalue
+    room = int((nab[1] - nab[0]).sum())
+    ab_all, nab_all = np.empty((2, room)), np.empty((2, room), dtype=np.intc)
+    ab_all[:, :ab.shape[1]], nab_all[:, :nab.shape[1]] = ab, nab
+    mout, info = sturm.bisect(2, nitmax, ab_all, nab_all, ab.shape[1])
+    return ab_all[:, :mout], nab_all[:, :mout], info
+
+
+def _shared_stebz(d: np.ndarray, e: np.ndarray, lower: float,
+                  cap: float) -> tuple[np.ndarray, int] | None:
+    """What _stebz returns, from dstebz's algorithm run on two pool threads; None to call dstebz.
+
+    The setup is dstebz's, step for step: the split test and PIVMIN, the
+    Gershgorin interval widened by FUDGE, ATOLI from its wider end, the
+    clip to (lower, cap] and ITMAX.  dlaebz, the routine dstebz calls,
+    counts the eigenvalues in the interval and halves it here, one
+    iteration at a time, until the open intervals fall into two shares
+    whose numbers of eigenvalues differ by at most one; each share is then
+    bisected to the end on its own pool thread.  An interval's halvings
+    depend on it alone, and each eigenvalue is the midpoint of its closed
+    interval, so the values are dstebz's bit for bit.  None when the matrix
+    splits into blocks or (lower, cap] holds fewer than 2 eigenvalues.
+    """
+    n = d.size
+    e2 = np.append(e * e, 0.0)
+    if (np.abs(d[1:] * d[:-1]) * _ULP ** 2 + _SAFEMN > e2[:-1]).any():
+        return None
+    pivmin = max(1.0, float(e2.max())) * _SAFEMN
+    ae = np.abs(e)
+    before, after = np.append(0.0, ae), np.append(ae, 0.0)
+    gu = max(float(d[0]), float((d + before + after).max()))
+    gl = min(float(d[0]), float((d - before - after).min()))
+    widen = max(abs(gl), abs(gu)) * _FUDGE * _ULP * n
+    gl, gu = gl - widen - _FUDGE * pivmin, gu + widen + _FUDGE * pivmin
+    sturm = _Sturm(d, e, e2, _ULP * max(abs(gl), abs(gu)), pivmin)
+    gl, gu = max(gl, lower), min(gu, cap)
+    if gl >= gu:
+        return None
+    root, root_counts = np.array([[gl], [gu]]), np.zeros((2, 1), dtype=np.intc)
+    found, _ = sturm.bisect(1, 0, root, root_counts, 1)
+    if found < 2:
+        return None
+    # room for every interval the bisection can make: each holds an eigenvalue
+    ab, nab = np.empty((2, found)), np.empty((2, found), dtype=np.intc)
+    ab[:, :1], nab[:, :1] = root, root_counts
+    itmax = int((math.log(gu - gl + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+    first = int(root_counts[0, 0])
+    w = np.empty(found)
+
+    def place(ab, nab):
+        for lo, hi, k_lo, k_hi in zip(ab[0], ab[1], nab[0].tolist(), nab[1].tolist()):
+            w[k_lo - first:k_hi - first] = 0.5 * (lo + hi)
+
+    opened, done = 1, 0
+    while True:
+        counts = (nab[1, :opened] - nab[0, :opened]).tolist()
+        half = _balanced_half(counts)
+        if half is not None or sum(counts) < 2 or done == itmax:
+            break
+        mout, opened = sturm.bisect(2, 1, ab, nab, opened)
+        done += 1
+        place(ab[:, :mout - opened], nab[:, :mout - opened])
+        ab[:, :opened], nab[:, :opened] = ab[:, mout - opened:mout], nab[:, mout - opened:mout]
+    rows = list(range(opened))
+    shares = [rows] if half is None else [half, [i for i in rows if i not in half]]
+    tasks = [(sturm, ab[:, share], nab[:, share], itmax - done) for share in shares if share]
+    info = 0
+    for ab_done, nab_done, left in (_shared_map(_finish, tasks) if len(tasks) == 2
+                                    else map(_finish, tasks)):
+        place(ab_done, nab_done)
+        info |= left
+    return w, int(info > 0)
 
 
 def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, cap: float) -> np.ndarray:
@@ -239,8 +405,16 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, cap: float) -> np
     returns the eigenvalues in ascending order, with the arguments and
     workspace of scipy's eigvalsh_tridiagonal(select="v",
     lapack_driver="stebz"), bit for bit.  Unlike that wrapper it releases
-    the interpreter lock, so the pool's threads solve in parallel.  A
-    bisection that fails (LAPACK INFO != 0) is a ResolutionError.
+    the interpreter lock, so the pool's threads solve in parallel.
+    A call made outside the pool's threads with more than one usable CPU,
+    on a matrix of at least _SHARE_MIN_ROWS rows that does not split and
+    holds at least 2 eigenvalues in range, shares its bisection between
+    two pool threads (_shared_stebz): dstebz's setup is repeated in Python
+    and LAPACK's dlaebz, the routine dstebz calls, bisects; each interval
+    is halved as in one dstebz call, so the eigenvalues are the same bits.
+    Every other call, a batch solve on a pool thread among them, makes one
+    dstebz call.  A bisection that fails (LAPACK INFO != 0) is a
+    ResolutionError.
     """
     lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0) if off.size else float(diag.min() - 1.0)
     if lower >= cap:
@@ -250,28 +424,23 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, cap: float) -> np
     n = d.size
     if e.size != n - 1:
         raise ConfigurationError(f"off-diagonal of {e.size} entries for {n} diagonal entries")
-    w, work = np.empty(n), np.empty(4 * n)
-    iblock, isplit, iwork = (np.empty(k, dtype=np.intc) for k in (n, n, 3 * n))
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    one = ctypes.byref(ctypes.c_int(1))
-    _dstebz()(b"V", b"E", ctypes.byref(ctypes.c_int(n)),
-              ctypes.byref(ctypes.c_double(lower)), ctypes.byref(ctypes.c_double(cap)),
-              one, one, ctypes.byref(ctypes.c_double(0.0)), d.ctypes.data, e.ctypes.data,
-              ctypes.byref(m), ctypes.byref(nsplit), w.ctypes.data, iblock.ctypes.data,
-              isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data, ctypes.byref(info))
-    if info.value != 0:
+    solved = None
+    if n >= _SHARE_MIN_ROWS and _shares_here():
+        solved = _shared_stebz(d, e, lower, cap)
+    w, info = solved or _stebz(d, e, lower, cap)
+    if info != 0:
         raise ResolutionError(f"Sturm bisection failed on an order-{n} matrix below {cap} "
-                              f"(LAPACK dstebz INFO = {info.value})")
-    return w[:m.value]
+                              f"(LAPACK dstebz INFO = {info})")
+    return w
 
 
 def hill_spectrum(config, path: NoisePath) -> SpectrumSample:
     """Eigenvalues <= lambda_cap under the configured boundary condition.
 
     config is a HillConfig or a SaoConfig (whose boundary is Dirichlet).
-    The solve runs here: split in two at nodes of LAPACK's bisection tree
-    it keeps every bit, but saved only about 11 % at 2^14 cells on 2 CPUs
-    when the pool was one of processes (CHANGES.md).
+    A Dirichlet solve of at least _SHARE_MIN_ROWS rows, called outside the
+    pool, shares its bisection between two pool threads, bit for bit (see
+    tridiagonal_eigenvalues).
     """
     op = config.operator(path)
     if config.boundary is Boundary.DIRICHLET:

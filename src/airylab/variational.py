@@ -26,6 +26,8 @@ _A_LO = -1.0 / 3.0
 _A_HI = 2.0 / 3.0
 _VALUE_TOL = 1e-10
 _MAX_ORDER = 512
+# riemann_sum_value sums over at most this many levels (8 MB a level array)
+_MAX_LEVELS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -142,11 +144,16 @@ def riemann_sum_value(z: float, beta: float, params: DiscretizationParams) -> fl
     """Discrete-level approximation: spacing t^{a-2/3} times the level sum.
 
     Converges first order in the spacing to variational_value as t grows.
+    More than _MAX_LEVELS = 10^6 levels (t^{2/3-a} above 10^6 at z = -1)
+    is a DomainError, raised before the levels are built.
     """
     if z > 0.0:
         raise DomainError("riemann_sum_value requires z <= 0")
     if not beta > 0.0:
         raise DomainError("riemann_sum_value requires beta > 0")
+    if params.n > _MAX_LEVELS:
+        raise DomainError(f"the Riemann sum at t = {params.t} needs more than "
+                          f"{_MAX_LEVELS} levels")
     if params.n == 0:
         return 0.0
     spacing = params.level_spacing

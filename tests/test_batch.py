@@ -208,8 +208,11 @@ def kernels(_):
     pair = periodic_hill_pair(random_profile(spawn_rng(3, "worker-pair"), grid_n=512))
     spectra = sample_sao2_spectra(SaoConfig(beta=2.0, domain_l=20.0, grid_n=2 ** 12,
                                             lambda_cap=5.0), 12, 1)
+    config = hill.HillConfig(j=1, xi=1.0, beta=2.0, grid_n=2 ** 14, lambda_cap=160.0)
+    lone = hill.hill_spectrum(config, hill.NoisePath.sample(spawn_rng(3, "worker-lone"),
+                                                            config.grid_n, config.h))
     return (hill._shares_here(), ai_values(xs), [s.eigenvalues for s in pair],
-            [s.eigenvalues for s in spectra])
+            [s.eigenvalues for s in spectra] + [lone.eigenvalues])
 
 executor, workers = hill._worker_pool()
 futures = [executor.submit(kernels, None) for _ in range(workers)]
@@ -223,6 +226,22 @@ print(*[result[0] for result in results], hill._shares_here(),
     done = _python(code)
     workers = hill._usable_cpus()
     assert done.stdout.split() == ["False"] * workers + ["True", "True"], done.stderr
+
+
+@pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
+def test_a_lone_large_solve_shares_its_bisection_on_the_pool(monkeypatch):
+    shared = []
+    shared_map = hill._shared_map
+
+    def spy(fn, tasks):
+        shared.append((fn.__name__, len(tasks)))
+        return shared_map(fn, tasks)
+
+    monkeypatch.setattr(hill, "_shared_map", spy)
+    cfg = SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0)
+    spectrum = sao_spectrum(cfg, NoisePath.sample(spawn_rng(76, "lone"), cfg.grid_n, cfg.h))
+    assert spectrum.eigenvalues.size >= 2
+    assert shared == [("_finish", 2)]
 
 
 @pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
@@ -308,8 +327,9 @@ def test_fredholm_compare_on_one_cpu_prints_the_same_bytes():
     assert _digest_on_one_cpu(label) == RECORDED[label]
 
 
-# Airy tables and WKB pairs above a size share work on the pool, lone
-# solves and small pairs never; with one CPU every call runs in place
+# Airy tables, WKB pairs and lone Dirichlet solves above a size share work
+# on the pool (the two hill and sao spectra here), smaller ones never; with
+# one CPU every call runs in place
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 @pytest.mark.parametrize("label", [
     "hill --j 1 --xi 1 --beta 2 --grid-n 4096 --seed 7",

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from airylab import cli, sao, wkb
+from airylab import cli, fredholm, sao, variational, wkb
 from airylab.cli import main
 from airylab.hill import NoisePath
 
@@ -190,6 +190,36 @@ class TestExitCodes:
 
         monkeypatch.setattr(NoisePath, "sample", costly)
         assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        # every node where Ai underflows: both passes saw a zero kernel and det read 1.0
+        ["fredholm", "--s", "1", "--t", "1", "--xmax", "1e10"],
+        ["fredholm", "--s", "1", "--t", "1", "--xmax", "1e300"],
+        # an r-window of -40/t^{1/3} = -4e101 once ended in numpy's "Maximum allowed size"
+        ["fredholm", "--s", "1", "--t", "1e-300"],
+    ])
+    def test_determinant_grid_out_of_bounds_is_a_domain_error_before_any_table(
+            self, capsys, monkeypatch, argv):
+        def costly(*args, **kwargs):
+            raise AssertionError("built an Airy table before the grid was checked")
+
+        monkeypatch.setattr(fredholm, "ai_values", costly)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:")
+        assert captured.out == ""
+
+    def test_riemann_sum_of_too_many_levels_is_a_domain_error_before_any_level(
+            self, capsys, monkeypatch):
+        # ceil(t^{2/3}) = 1e200 levels once ended in numpy's "Maximum allowed size"
+        def costly(*args, **kwargs):
+            raise AssertionError("summed levels before their number was checked")
+
+        monkeypatch.setattr(variational.DiscretizationParams, "level_spacing", property(costly))
+        assert main(["variational", "--z", "-1", "--beta", "2", "--t", "1e300"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:")
         assert captured.out == ""

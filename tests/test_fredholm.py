@@ -100,6 +100,24 @@ class TestQuadratureGrid:
             QuadratureGrid(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]),
                            r_cut_low=-40.0, r_cut_high=40.0)
 
+    @pytest.mark.parametrize("t", [1.0, 8.0])
+    def test_x_max_that_puts_every_node_past_the_kernel_is_rejected(self, t):
+        # the smallest node reaches 14 + 40/t^{1/3} at this x_max
+        params = KernelParams(s=1.0, t=t)
+        edge = (14.0 + 40.0 / params.t13) / clustered_nodes(96, 1.0)[0][0]
+        assert kernel_grid(params, x_max=0.999 * edge).x_max == 0.999 * edge
+        with pytest.raises(DomainError, match="nodes"):
+            kernel_grid(params, x_max=1.001 * edge)
+
+    def test_r_window_of_more_panels_than_the_bound_is_rejected(self):
+        # the window [-40/t^{1/3}, 40] spans 512 = 2 * _MAX_PANELS at t = (40/472)^3
+        edge = (40.0 / 472.0) ** 3
+        grid = kernel_grid(KernelParams(s=1.0, t=1.001 * edge))
+        assert fredholm._gl_panels(grid.r_cut_low, grid.r_cut_high)[0].size == 256 * 16
+        params = KernelParams(s=1.0, t=0.999 * edge)
+        with pytest.raises(DomainError, match="panels"):
+            fredholm_det(params, kernel_grid(params))
+
     def test_hand_built_grid_refines_on_its_own_domain(self):
         # the last of 64 nodes lies at 15.987; refining on [0, 15.987] in place
         # of [0, 16] moved the determinant by 2e-8, past the 1e-8 gate

@@ -1,4 +1,5 @@
 """Hill operators: exact discrete spectra, Riccati counting, linear statistics."""
+import collections
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -228,6 +229,31 @@ def _scipy_stebz(diag, off, cap):
                                 check_finite=False, lapack_driver="stebz")
 
 
+def _routes(monkeypatch):
+    """Counter of the dstebz calls and of the bisections shared on the pool, on any thread."""
+    routes = collections.Counter()
+    stebz, shared_map = hill._stebz, hill._shared_map
+
+    def counted_stebz(*args):
+        routes["dstebz"] += 1
+        return stebz(*args)
+
+    def counted_map(fn, tasks):
+        routes[fn.__name__] += 1
+        return shared_map(fn, tasks)
+
+    monkeypatch.setattr(hill, "_stebz", counted_stebz)
+    monkeypatch.setattr(hill, "_shared_map", counted_map)
+    return routes
+
+
+def _matrices(config, seed, n):
+    """(diag, off, cap) of n paths of config."""
+    rng = spawn_rng(seed, "binding-lone", config.grid_n)
+    return [(*config.operator(NoisePath.sample(rng, config.grid_n, config.h)).dirichlet(),
+             config.lambda_cap) for _ in range(n)]
+
+
 def _solved(monkeypatch, run):
     """(diag, off, cap) of every tridiagonal solve that run() makes, on any thread."""
     seen = []
@@ -332,11 +358,79 @@ class TestLapackBinding:
         with pytest.raises(ConfigurationError, match="off-diagonal"):
             tridiagonal_eigenvalues(np.full(8, 2.0), np.full(8, -1.0), 1.0)
 
-    def test_a_capsule_of_another_signature_fails_at_binding(self, monkeypatch):
-        monkeypatch.setitem(cython_lapack.__pyx_capi__, "dstebz",
+    @pytest.mark.parametrize("name", ["dstebz", "dlaebz"])
+    def test_a_capsule_of_another_signature_fails_at_binding(self, monkeypatch, name):
+        monkeypatch.setitem(cython_lapack.__pyx_capi__, name,
                             cython_lapack.__pyx_capi__["dsterf"])
         with pytest.raises(RuntimeError, match="signature"):
-            hill._dstebz.__wrapped__()
+            hill._lapack.__wrapped__(name)
+
+    # A lone solve of at least _SHARE_MIN_ROWS rows outside the pool shares
+    # dstebz's bisection between two pool threads when it holds 2 or more
+    # eigenvalues; _shares_here is forced true so that one usable CPU takes
+    # that path too.
+    def _assert_shared_bits(self, monkeypatch, matrices):
+        monkeypatch.setattr(hill, "_shares_here", lambda: True)
+        routes = _routes(monkeypatch)
+        found = []
+        for diag, off, cap in matrices:
+            expected = _scipy_stebz(diag, off, cap)
+            assert np.array_equal(tridiagonal_eigenvalues(diag, off, cap), expected)
+            found.append(expected.size)
+        shared = sum(size >= 2 for size in found)
+        assert shared > len(matrices) // 2
+        assert routes == collections.Counter(_finish=shared, dstebz=len(matrices) - shared)
+        return sum(found)
+
+    @pytest.mark.parametrize("config", [
+        # kernel_sweep's SAO paths and fredholm_identity's
+        SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0),
+        SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 14, lambda_cap=36.0),
+        # hill --grid-n 4096 and sao spectrum --grid-n 8192
+        HillConfig(j=1, xi=1.0, beta=2.0, grid_n=4096, lambda_cap=200.0),
+        SaoConfig(beta=2.0, domain_l=20.0, grid_n=8192, lambda_cap=5.0),
+    ], ids=["sao-cap-9", "sao-cap-36", "hill-4096", "sao-8192"])
+    def test_lone_solves_shared_on_the_pool(self, monkeypatch, config):
+        assert self._assert_shared_bits(monkeypatch, _matrices(config, 98, 6)) > 6
+
+    def test_lone_hill_solves_shared_on_the_pool_over_beta_and_level(self, monkeypatch):
+        # kernel_sweep's Hill configs
+        matrices = []
+        for beta in (0.5, 1.0, 2.0, 4.0):
+            for j in range(4):
+                matrices += _matrices(HillConfig(j=j, xi=1.0, beta=beta, grid_n=2 ** 14,
+                                                 lambda_cap=160.0), 99 + j, 2)
+        assert self._assert_shared_bits(monkeypatch, matrices) > 32
+
+    def test_solves_that_keep_one_dstebz_call(self, monkeypatch):
+        monkeypatch.setattr(hill, "_shares_here", lambda: True)
+        routes = _routes(monkeypatch)
+        rows = hill._SHARE_MIN_ROWS
+        below = SaoConfig(beta=2.0, domain_l=20.0, grid_n=rows, lambda_cap=5.0)
+        at = dataclasses.replace(below, grid_n=rows + 1)
+        diag, off, cap = _matrices(at, 100, 1)[0]
+        ev = tridiagonal_eigenvalues(diag, off, cap)
+        assert diag.size == rows and ev.size >= 2 and routes == {"_finish": 1}
+        routes.clear()
+        split = diag.copy(), off.copy()
+        split[1][rows // 3] = 0.0
+        matrices = [*_matrices(below, 100, 4),
+                    (diag, off, (ev[0] + ev[1]) / 2.0),  # one eigenvalue
+                    (diag, off, ev[0] - 1.0),  # none
+                    (*split, cap)]
+        assert self._assert_same_bits(matrices, 7) > 0
+        assert routes == {"dstebz": 7}
+
+    def test_a_solve_on_a_pool_thread_keeps_one_dstebz_call(self, monkeypatch):
+        routes = _routes(monkeypatch)
+        matrices = _matrices(SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14,
+                                       lambda_cap=9.0), 101, 2)
+        executor, _ = hill._worker_pool()
+        solved = [executor.submit(tridiagonal_eigenvalues, *m).result(timeout=60)
+                  for m in matrices]
+        assert routes == {"dstebz": 2}
+        for ev, (diag, off, cap) in zip(solved, matrices):
+            assert ev.size > 1 and np.array_equal(ev, _scipy_stebz(diag, off, cap))
 
 
 class TestInterlacing:
