@@ -7,10 +7,13 @@ the command's standard output, followed for CLI commands by
 "exit=<code>\\n"; for the `report` commands the wall-clock field runtime_s
 is dropped first.  The table of digests in CHANGES.md uses this form.  Running
 the script on two checkouts and comparing the lines checks that a change
-keeps every output byte-identical:
+keeps every output byte-identical.  With --one-cpu each command first pins
+itself to one usable CPU (os.sched_setaffinity, which an exec keeps), so
+every call that would go to airylab's thread pool runs in place:
 
     python scripts/output_digests.py                 # every command
     python scripts/output_digests.py --only "sao ldp"  # labels containing the text
+    python scripts/output_digests.py --one-cpu       # every command on one CPU
 """
 import argparse
 import hashlib
@@ -23,6 +26,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPORT_FAST = "report --fast, runtime_s stripped"
+# run as `python -c PIN_CPU <cpu> <argv>`: pin this process, then exec the command
+PIN_CPU = ("import os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
+           "os.execv(sys.executable, [sys.executable, *sys.argv[2:]])")
 
 # (label, argv after the interpreter); labels name the command as the CLI reads it
 COMMANDS = [
@@ -73,8 +79,14 @@ def strip_runtimes(stdout: bytes) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
 
 
-def digest(argv: list[str], report: bool = False, exit_line: bool = True) -> str:
-    """Digest of `python <argv>`; report=True drops the runtimes of a report first."""
+def digest(argv: list[str], report: bool = False, exit_line: bool = True,
+           one_cpu: bool = False) -> str:
+    """Digest of `python <argv>`; report=True drops the runtimes of a report first.
+
+    one_cpu=True runs the command pinned to the lowest CPU this process may use.
+    """
+    if one_cpu:
+        argv = ["-c", PIN_CPU, str(min(os.sched_getaffinity(0))), *argv]
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=run_env(),
                           capture_output=True, check=False)
     out = strip_runtimes(done.stdout) if report else done.stdout
@@ -83,20 +95,22 @@ def digest(argv: list[str], report: bool = False, exit_line: bool = True) -> str
     return hashlib.sha256(out).hexdigest()[:16]
 
 
-def label_digest(label: str, argv: list[str] | None = None) -> str:
+def label_digest(label: str, argv: list[str] | None = None, one_cpu: bool = False) -> str:
     """Digest of one entry of COMMANDS."""
     return digest(argv_of(label, argv), report=label.startswith("report "),
-                  exit_line=not label.startswith("scripts/"))
+                  exit_line=not label.startswith("scripts/"), one_cpu=one_cpu)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", action="append", default=None,
                     help="run the commands whose label contains this text (repeatable)")
+    ap.add_argument("--one-cpu", action="store_true",
+                    help="pin each command to one CPU, so airylab's pool work runs in place")
     args = ap.parse_args()
     for label, argv in COMMANDS:
         if args.only is None or any(text in label for text in args.only):
-            print(f"{label}  {label_digest(label, argv)}", flush=True)
+            print(f"{label}  {label_digest(label, argv, args.one_cpu)}", flush=True)
     return 0
 
 

@@ -11,8 +11,8 @@ asymptotic branch computes the scaled value Ai(x) exp(+(2/3) x^{3/2}),
 which stays O(x^{-1/4}), and multiplies the exponential back in last.
 
 Each value depends on its own argument only, bit for bit, so an array of
-at least _SHARE_MIN_POINTS points is evaluated in two halves on the
-pool's threads.
+at least _SHARE_MIN_POINTS points is evaluated in two halves through
+hill._pool_map, on the pool's threads where it sends them.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .hill import _shared_map
+from .hill import _pool_map
 
 _LD = np.longdouble
 
@@ -119,9 +119,9 @@ def _ai_here(xs: np.ndarray) -> np.ndarray:
 def ai_values(xs: np.ndarray) -> np.ndarray:
     """Vectorized Ai values (plain doubles; underflows to 0 beyond x ~ 108).
 
-    An array of at least _SHARE_MIN_POINTS points goes to two pool threads
-    in halves, while the caller waits, and the halves are written into one
-    output; the values are those of one evaluation here, bit for bit.
+    An array of at least _SHARE_MIN_POINTS points goes to _pool_map in
+    halves, which are written into one output; the values are those of one
+    evaluation here, bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size and not np.isfinite(xs).all():
@@ -131,5 +131,5 @@ def ai_values(xs: np.ndarray) -> np.ndarray:
     flat = xs.reshape(-1)
     cut = flat.size // 2
     out = np.empty(flat.size)
-    out[:cut], out[cut:] = _shared_map(_ai_here, [flat[:cut], flat[cut:]])
+    out[:cut], out[cut:] = _pool_map(_ai_here, [flat[:cut], flat[cut:]])
     return out.reshape(xs.shape)

@@ -106,8 +106,9 @@ def _cmd_sao(args: argparse.Namespace) -> tuple[int, str]:
         lam = args.lam if sub == "count" else None
         return _spectrum_or_count(args, config, f"sao-{sub}", lam)
     if sub == "sandwich":
-        params = DiscretizationParams(t=args.t, a=args.a, n=args.n_levels) if args.n_levels \
-            else DiscretizationParams.from_deviation(args.z, args.t, args.a)
+        params = (DiscretizationParams(t=args.t, a=args.a, n=args.n_levels)
+                  if args.n_levels is not None
+                  else DiscretizationParams.from_deviation(args.z, args.t, args.a))
         lower, middle, upper = sandwich_check(args.z, args.t, args.beta, params,
                                               args.samples, seed=args.seed)
         payload = {**_header(args), "n_levels": params.n}

@@ -71,6 +71,9 @@ _AIRY_U_MAX = 14.0
 # panels of length 2 the fine Airy table of 192 nodes holds 9.4 MB, and the
 # determinant's r-window [-40/t^{1/3}, 40] fits for t >= 6.1e-4
 _MAX_PANELS = 256
+# a node rule of more nodes than this is refused: at 1024 the fine pass's
+# widest Airy table holds about 100 MB (see kernel_grid)
+_MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -148,9 +151,14 @@ def kernel_grid(params: KernelParams, n_nodes: int = 96,
     for every r of the window, so a grid with every node there sees a zero
     kernel and its determinant reads 1 whatever s is (at 96 nodes and t = 1
     this holds from x_max = 1.11e6 on).  The window may span at most
-    _MAX_PANELS = 256 panels of length 2, which takes t >= 6.1e-4.  Each
-    bound is a DomainError, raised before any Airy table is built.
+    _MAX_PANELS = 256 panels of length 2, which takes t >= 6.1e-4.
+    n_nodes may be at most _MAX_NODES = 1024: fredholm_det's fine pass then
+    uses 2048 nodes, and its widest Airy table (256 panels of order 24)
+    holds 2048 x 6144 doubles, about 100 MB.  Each bound is a DomainError,
+    raised before any node rule or Airy table is built.
     """
+    if n_nodes > _MAX_NODES:
+        raise DomainError(f"{n_nodes} nodes asked for; the rule takes at most {_MAX_NODES}")
     if not 0.0 < x_max < math.inf:
         raise DomainError(f"x_max must be finite and positive, got {x_max}")
     nodes, weights = clustered_nodes(n_nodes, x_max)

@@ -12,12 +12,12 @@ Eigenvalues of the Dirichlet (tridiagonal) matrix come from LAPACK Sturm
 bisection (dstebz, called through ctypes so that it runs without the
 interpreter lock); the periodic matrix carries two corner entries and is
 solved densely, which restricts periodic grids to <= 4096 cells.
-dirichlet_spectra solves a batch of paths on every usable CPU, and
-_shared_map runs the parts of one large call (an Airy table, a pair of
-periodic WKB solves, the bisection of a lone Dirichlet solve through
-LAPACK's dlaebz) on the same pool of threads.  The work on the pool
-(dstebz, dlaebz, numpy's array loops and LAPACK) releases the lock, so the
-threads compute in parallel and share the caller's arrays without copies.
+_pool_map is the one way onto a pool of threads, for the groups of a batch
+of paths (dirichlet_spectra) and the parts of one large call (an Airy
+table, a pair of periodic WKB solves, the bisection of a lone Dirichlet
+solve through LAPACK's dlaebz).  The work on the pool (dstebz, dlaebz,
+numpy's array loops and LAPACK) releases the lock, so the threads compute
+in parallel and share the caller's arrays without copies.
 """
 from __future__ import annotations
 
@@ -273,37 +273,27 @@ def _stebz(d: np.ndarray, e: np.ndarray, lower: float, cap: float) -> tuple[np.n
     return w[:m.value], info.value
 
 
-@dataclass(frozen=True)
-class _Sturm:
-    """A tridiagonal matrix and dstebz's tolerances, as dlaebz reads them."""
+def _dlaebz(sturm: tuple, ijob: int, nitmax: int, ab: np.ndarray, nab: np.ndarray,
+            count: int) -> tuple[int, int]:
+    """(MOUT, INFO) of dlaebz on the first count intervals of ab and nab, both (2, mmax).
 
-    d: np.ndarray
-    e: np.ndarray
-    e2: np.ndarray
-    atoli: float
-    pivmin: float
-
-    def bisect(self, ijob: int, nitmax: int, ab: np.ndarray, nab: np.ndarray,
-               count: int) -> tuple[int, int]:
-        """(MOUT, INFO) of dlaebz on the first count intervals of ab and nab, both (2, mmax).
-
-        IJOB = 1 counts the eigenvalues at both ends of each interval into
-        nab, and MOUT is how many lie inside.  IJOB = 2 halves every open
-        interval up to nitmax times, keeping each half that holds an
-        eigenvalue: rows [0, MOUT - INFO) are then closed, rows
-        [MOUT - INFO, MOUT) still open.
-        """
-        mmax = ab.shape[1]
-        c, work = np.empty(mmax), np.empty(mmax)
-        iwork = np.empty(mmax, dtype=np.intc)
-        mout, info = ctypes.c_int(), ctypes.c_int()
-        _lapack("dlaebz")(_int(ijob), _int(nitmax), _int(self.d.size), _int(mmax), _int(count),
-                          _int(0), _double(self.atoli), _double(_RTOLI), _double(self.pivmin),
-                          self.d.ctypes.data, self.e.ctypes.data, self.e2.ctypes.data,
-                          iwork.ctypes.data, ab.ctypes.data, c.ctypes.data, ctypes.byref(mout),
-                          nab.ctypes.data, work.ctypes.data, iwork.ctypes.data,
-                          ctypes.byref(info))
-        return mout.value, info.value
+    sturm is (d, e, e2, ATOLI, PIVMIN): the matrix and dstebz's tolerances.
+    IJOB = 1 counts the eigenvalues at both ends of each interval into nab,
+    and MOUT is how many lie inside.  IJOB = 2 halves every open interval up
+    to nitmax times, keeping each half that holds an eigenvalue: rows
+    [0, MOUT - INFO) are then closed, rows [MOUT - INFO, MOUT) still open.
+    """
+    d, e, e2, atoli, pivmin = sturm
+    mmax = ab.shape[1]
+    c, work = np.empty(mmax), np.empty(mmax)
+    iwork = np.empty(mmax, dtype=np.intc)
+    mout, info = ctypes.c_int(), ctypes.c_int()
+    _lapack("dlaebz")(_int(ijob), _int(nitmax), _int(d.size), _int(mmax), _int(count), _int(0),
+                      _double(atoli), _double(_RTOLI), _double(pivmin), d.ctypes.data,
+                      e.ctypes.data, e2.ctypes.data, iwork.ctypes.data, ab.ctypes.data,
+                      c.ctypes.data, ctypes.byref(mout), nab.ctypes.data, work.ctypes.data,
+                      iwork.ctypes.data, ctypes.byref(info))
+    return mout.value, info.value
 
 
 def _balanced_half(counts: list[int]) -> list[int] | None:
@@ -328,7 +318,7 @@ def _finish(task: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     room = int((nab[1] - nab[0]).sum())
     ab_all, nab_all = np.empty((2, room)), np.empty((2, room), dtype=np.intc)
     ab_all[:, :ab.shape[1]], nab_all[:, :nab.shape[1]] = ab, nab
-    mout, info = sturm.bisect(2, nitmax, ab_all, nab_all, ab.shape[1])
+    mout, info = _dlaebz(sturm, 2, nitmax, ab_all, nab_all, ab.shape[1])
     return ab_all[:, :mout], nab_all[:, :mout], info
 
 
@@ -358,12 +348,12 @@ def _shared_stebz(d: np.ndarray, e: np.ndarray, lower: float,
     gl = min(float(d[0]), float((d - before - after).min()))
     widen = max(abs(gl), abs(gu)) * _FUDGE * _ULP * n
     gl, gu = gl - widen - _FUDGE * pivmin, gu + widen + _FUDGE * pivmin
-    sturm = _Sturm(d, e, e2, _ULP * max(abs(gl), abs(gu)), pivmin)
+    sturm = d, e, e2, _ULP * max(abs(gl), abs(gu)), pivmin
     gl, gu = max(gl, lower), min(gu, cap)
     if gl >= gu:
         return None
     root, root_counts = np.array([[gl], [gu]]), np.zeros((2, 1), dtype=np.intc)
-    found, _ = sturm.bisect(1, 0, root, root_counts, 1)
+    found, _ = _dlaebz(sturm, 1, 0, root, root_counts, 1)
     if found < 2:
         return None
     # room for every interval the bisection can make: each holds an eigenvalue
@@ -383,7 +373,7 @@ def _shared_stebz(d: np.ndarray, e: np.ndarray, lower: float,
         half = _balanced_half(counts)
         if half is not None or sum(counts) < 2 or done == itmax:
             break
-        mout, opened = sturm.bisect(2, 1, ab, nab, opened)
+        mout, opened = _dlaebz(sturm, 2, 1, ab, nab, opened)
         done += 1
         place(ab[:, :mout - opened], nab[:, :mout - opened])
         ab[:, :opened], nab[:, :opened] = ab[:, mout - opened:mout], nab[:, mout - opened:mout]
@@ -391,8 +381,7 @@ def _shared_stebz(d: np.ndarray, e: np.ndarray, lower: float,
     shares = [rows] if half is None else [half, [i for i in rows if i not in half]]
     tasks = [(sturm, ab[:, share], nab[:, share], itmax - done) for share in shares if share]
     info = 0
-    for ab_done, nab_done, left in (_shared_map(_finish, tasks) if len(tasks) == 2
-                                    else map(_finish, tasks)):
+    for ab_done, nab_done, left in _pool_map(_finish, tasks):
         place(ab_done, nab_done)
         info |= left
     return w, int(info > 0)
@@ -466,22 +455,18 @@ def _usable_cpus() -> int:
 _pool_thread = threading.local()
 
 
-def _mark_pool_thread() -> None:
-    _pool_thread.inside = True
-
-
 @functools.cache
 def _worker_pool():
     """(executor, workers): one thread per usable CPU, made by the first call that needs it.
 
-    Each thread marks itself when it starts, so _shares_here keeps a pool
+    Each thread marks itself when it starts, so _pool_map keeps a pool
     thread's work in place and a pool thread never waits on the pool.  Idle
     threads are joined at exit by concurrent.futures itself.
     """
     from concurrent.futures import ThreadPoolExecutor  # deferred: importing airylab stays as fast
     workers = _usable_cpus()
-    executor = ThreadPoolExecutor(workers, thread_name_prefix="airylab",
-                                  initializer=_mark_pool_thread)
+    mark = functools.partial(setattr, _pool_thread, "inside", True)
+    executor = ThreadPoolExecutor(workers, thread_name_prefix="airylab", initializer=mark)
     return executor, workers
 
 
@@ -490,12 +475,24 @@ def _shares_here() -> bool:
     return _usable_cpus() > 1 and not getattr(_pool_thread, "inside", False)
 
 
-def _in_order(fn: Callable, tasks: Iterable) -> Iterator:
-    """fn over tasks on the pool, yielded in submission order.
+def _pool_map(fn: Callable, tasks: Iterable) -> Iterator:
+    """fn(task) for each task, yielded in order, on the pool's threads where they may go.
 
-    At most _GROUPS_PER_WORKER tasks per thread are pending, so tasks are
-    drawn from the iterable only as fast as the threads take them.
+    With at least two tasks, where _shares_here holds, every call runs on a
+    pool thread and the caller computes none itself, so no more calls run
+    at once than there are usable CPUs.  At most _GROUPS_PER_WORKER tasks
+    per thread are pending, so tasks are drawn from the iterable only as
+    fast as the threads take them.  Otherwise (a lone task, one usable CPU
+    or a pool thread) the calls run here, in order: a lone Dirichlet solve
+    may then share its own bisection.  fn must be pure for the results not
+    to depend on where they ran.
     """
+    tasks = iter(tasks)
+    head = list(itertools.islice(tasks, 2)) if _shares_here() else []
+    tasks = itertools.chain(head, tasks)
+    if len(head) < 2:
+        yield from map(fn, tasks)
+        return
     executor, workers = _worker_pool()
     pending = collections.deque()
     try:
@@ -508,19 +505,6 @@ def _in_order(fn: Callable, tasks: Iterable) -> Iterator:
     finally:
         for future in pending:
             future.cancel()
-
-
-def _shared_map(fn: Callable, tasks: list) -> list:
-    """[fn(task) for task in tasks], every call on a pool thread while the caller waits.
-
-    The caller computes no share itself, so no more calls run at once than
-    there are usable CPUs.  Where _shares_here is false (one usable CPU, or
-    a call from a pool thread) the calls run here, in order.  fn must be
-    pure for the results not to depend on where they ran.
-    """
-    if _shares_here():
-        return list(_in_order(fn, tasks))
-    return [fn(task) for task in tasks]
 
 
 def _dirichlet_groups(config, paths: Iterator[NoisePath]):
@@ -547,19 +531,15 @@ def dirichlet_spectra(config, paths: Iterable[NoisePath]) -> Iterator[SpectrumSa
     spectra are yielded in path order.  Paths are taken and assembled here,
     a group of about _GROUP_ROWS rows at a time, and only as fast as the
     solves consume them; the solves run on a pool with one thread per
-    usable CPU.  Each solve is a pure function of its matrix, so the
-    spectra are the same, bit for bit, for any number of CPUs.  With one
-    usable CPU, on a pool thread, or for a batch of one group or of fewer
-    than _POOL_MIN_CELLS cells the solves run here.
+    usable CPU, through _pool_map.  Each solve is a pure function of its
+    matrix, so the spectra are the same, bit for bit, for any number of
+    CPUs.  Below _POOL_MIN_CELLS cells, and wherever _pool_map runs in
+    place (one group, one usable CPU, a pool thread), the solves run here.
     """
     if config.boundary is not Boundary.DIRICHLET:
         raise DomainError("dirichlet_spectra requires the Dirichlet boundary")
-    tasks = _dirichlet_groups(config, iter(paths))
-    solved = map(_solve_group, tasks)
-    if config.grid_n >= _POOL_MIN_CELLS and _usable_cpus() > 1:
-        head = list(itertools.islice(tasks, 2))
-        run = _in_order if len(head) == 2 and _shares_here() else map
-        solved = run(_solve_group, itertools.chain(head, tasks))
+    run = _pool_map if config.grid_n >= _POOL_MIN_CELLS else map
+    solved = run(_solve_group, _dirichlet_groups(config, iter(paths)))
     return (SpectrumSample(eigenvalues=ev, cap=config.lambda_cap)
             for group in solved for ev in group)
 

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UnderflowDiagnostic
+from .errors import ConfigurationError, DomainError, ResolutionError, UnderflowDiagnostic
 from .hill import (Boundary, CellOperator, HillConfig, NoisePath, SpectrumSample, check_cell_width,
                    dirichlet_spectra, hill_spectrum, linear_statistic, riccati_count_hill)
 # perfbench/bench_trace.py wraps the bindings sao.riccati_cell_counts and
@@ -29,6 +29,9 @@ from .mc import McEstimate, estimate_from_log_samples, product_estimate, spawn_r
 from .variational import DiscretizationParams, DriftProblem, optimal_drift
 
 _DOMAIN_MARGIN_MIN = 4.0
+# the finite-difference eigenvalue near lambda is low by a relative
+# lambda h^2 / 12, so cap h^2 <= 0.1 keeps that error under 1 %
+_MAX_CAP_H2 = 0.1
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,9 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
 
     Importance sampling draws the path with per-level drifts v_{j,*}
     (levels from the mesoscale decomposition, n = ceil(-z t^{2/3-a})) and
-    reweights exactly, so both modes estimate the same expectation.
+    reweights exactly, so both modes estimate the same expectation.  A
+    grid whose cells are too wide for the cap -z t^{2/3}, cap h^2 >
+    _MAX_CAP_H2, is a ResolutionError, raised before any path is drawn.
     """
     if z > 0.0:
         raise DomainError("ldp_estimate requires z <= 0")
@@ -171,6 +176,12 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
     else:
         domain_l = max(threshold, 0.0) + domain_margin
     config = SaoConfig(beta=beta, domain_l=domain_l, grid_n=grid_n, lambda_cap=threshold)
+    cap_h2 = threshold * config.h ** 2
+    if cap_h2 > _MAX_CAP_H2:
+        needed = math.ceil(domain_l * math.sqrt(threshold / _MAX_CAP_H2))
+        raise ResolutionError(f"{grid_n} cells of width {config.h:.3g} under the cap "
+                              f"{threshold:.6g} give cap h^2 = {cap_h2:.3g} > {_MAX_CAP_H2}; "
+                              f"grid_n = {needed} would pass")
     rates = np.zeros(grid_n)
     if use_importance:
         mid = (np.arange(grid_n) + 0.5) * config.h

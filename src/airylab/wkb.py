@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .hill import CellOperator, SpectrumSample, _shared_map
+from .hill import CellOperator, SpectrumSample, _pool_map
 
 # a pool round trip costs about 0.1 ms; on 2 Xeon CPUs the pair took about
 # as long on two threads as here at 256 and 384 cells (9-10 and 21-23 ms,
@@ -91,15 +91,13 @@ def _periodic_eigenvalues(task: tuple[PotentialProfile, bool]) -> np.ndarray:
 def periodic_hill_pair(profile: PotentialProfile) -> tuple[SpectrumSample, SpectrumSample]:
     """Full spectra of H (potential f') and H~ (constant mean slope).
 
-    From _SHARE_MIN_CELLS cells on, the two dense solves run on two pool
-    threads while the caller waits.  Each thread builds its own matrix from
-    the profile, and the spectra are those of solving here, bit for bit.
+    From _SHARE_MIN_CELLS cells on, the two dense solves go to _pool_map,
+    on two pool threads while the caller waits.  Each call builds its own
+    matrix from the profile, and the spectra are those of solving here,
+    bit for bit.
     """
-    pair = [(profile, True), (profile, False)]
-    if profile.grid_n >= _SHARE_MIN_CELLS:
-        ev_rough, ev_flat = _shared_map(_periodic_eigenvalues, pair)
-    else:
-        ev_rough, ev_flat = map(_periodic_eigenvalues, pair)
+    run = _pool_map if profile.grid_n >= _SHARE_MIN_CELLS else map
+    ev_rough, ev_flat = run(_periodic_eigenvalues, [(profile, True), (profile, False)])
     cap = float(max(ev_rough[-1], ev_flat[-1]))
     return (SpectrumSample(eigenvalues=ev_rough, cap=cap),
             SpectrumSample(eigenvalues=ev_flat, cap=cap))

@@ -152,7 +152,7 @@ class TestInvariants:
             raise AssertionError("the pool was used with one usable CPU")
 
         monkeypatch.setattr(hill, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(hill, "_in_order", no_pool)
+        monkeypatch.setattr(hill, "_worker_pool", no_pool)
         xs = np.linspace(-40.0, 40.0, airy._SHARE_MIN_POINTS + 1)
         assert np.array_equal(ai_values(xs), airy._ai_here(xs))
 

@@ -1,8 +1,10 @@
 """Batch spectrum solves: the same bits as serial loops, for any CPU count."""
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -183,7 +185,7 @@ def test_two_solves_on_the_pool_overlap_in_time():
 
     ratios = []
     for _ in range(3):  # another load on the machine may keep a CPU busy for a while
-        (ev_a, start_a, end_a, cpu_a), (ev_b, start_b, end_b, cpu_b) = hill._in_order(
+        (ev_a, start_a, end_a, cpu_a), (ev_b, start_b, end_b, cpu_b) = hill._pool_map(
             timed_solve, [0, 1])
         assert np.array_equal(ev_a, ev_b) and ev_a.size > 0
         ratios.append((max(end_a, end_b) - min(start_a, start_b)) / (cpu_a + cpu_b))
@@ -231,17 +233,73 @@ print(*[result[0] for result in results], hill._shares_here(),
 @pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
 def test_a_lone_large_solve_shares_its_bisection_on_the_pool(monkeypatch):
     shared = []
-    shared_map = hill._shared_map
+    pool_map = hill._pool_map
 
     def spy(fn, tasks):
         shared.append((fn.__name__, len(tasks)))
-        return shared_map(fn, tasks)
+        return pool_map(fn, tasks)
 
-    monkeypatch.setattr(hill, "_shared_map", spy)
+    monkeypatch.setattr(hill, "_pool_map", spy)
     cfg = SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0)
     spectrum = sao_spectrum(cfg, NoisePath.sample(spawn_rng(76, "lone"), cfg.grid_n, cfg.h))
     assert spectrum.eigenvalues.size >= 2
     assert shared == [("_finish", 2)]
+
+
+def _submitted(monkeypatch):
+    """The functions submitted to the pool's executor from now on."""
+    executor, _ = hill._worker_pool()
+    submit, calls = executor.submit, []
+
+    def counted(fn, *args):
+        calls.append(fn)
+        return submit(fn, *args)
+
+    monkeypatch.setattr(executor, "submit", counted)
+    return calls
+
+
+def _thread(task):
+    return task, threading.current_thread()
+
+
+class TestPoolMap:
+    """hill._pool_map sends two or more tasks to the pool, where it may, and runs the rest here."""
+
+    def test_a_lone_task_runs_in_the_caller(self, monkeypatch):
+        submitted = _submitted(monkeypatch)
+        assert list(hill._pool_map(_thread, [7])) == [(7, threading.current_thread())]
+        assert submitted == []
+
+    @pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
+    def test_two_tasks_run_on_the_pool(self, monkeypatch):
+        submitted = _submitted(monkeypatch)
+        ran = list(hill._pool_map(_thread, [1, 2]))
+        assert [task for task, _ in ran] == [1, 2] and submitted == [_thread, _thread]
+        assert all(thread.name.startswith("airylab") for _, thread in ran)
+
+    def test_one_usable_cpu_runs_in_place(self, monkeypatch):
+        submitted = _submitted(monkeypatch)
+        monkeypatch.setattr(hill, "_usable_cpus", lambda: 1)
+        here = threading.current_thread()
+        assert list(hill._pool_map(_thread, range(5))) == [(k, here) for k in range(5)]
+        assert submitted == []
+        drawn = []
+        ran = hill._pool_map(_thread, (drawn.append(k) or k for k in range(5)))
+        assert next(ran) == (0, here) and drawn == [0]  # no task is read ahead
+
+    def test_a_pool_thread_runs_in_place(self, monkeypatch):
+        executor, _ = hill._worker_pool()
+        submit = executor.submit
+        submitted = _submitted(monkeypatch)
+        ran, thread = submit(lambda: (list(hill._pool_map(_thread, range(5))),
+                                      threading.current_thread())).result(timeout=60)
+        assert ran == [(k, thread) for k in range(5)] and thread.name.startswith("airylab")
+        assert submitted == []
+
+    def test_src_submits_to_the_pool_only_in_pool_map(self):
+        sources = "".join(path.read_text() for path in sorted((SRC / "airylab").glob("*.py")))
+        assert sources.count("submit(") == inspect.getsource(hill._pool_map).count("submit(") == 1
 
 
 @pytest.mark.skipif(hill._usable_cpus() < 2, reason="one usable CPU solves in place")
@@ -315,10 +373,7 @@ def test_monte_carlo_outputs_keep_their_digests(label):
 
 
 def _digest_on_one_cpu(label):
-    cpu = min(os.sched_getaffinity(0))
-    code = (f"import os, sys; os.sched_setaffinity(0, {{{cpu}}}); "
-            "from airylab.cli import main; sys.exit(main(sys.argv[1:]))")
-    return _digests().digest(["-c", code, *label.split()])
+    return _digests().label_digest(label, one_cpu=True)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -327,9 +382,11 @@ def test_fredholm_compare_on_one_cpu_prints_the_same_bytes():
     assert _digest_on_one_cpu(label) == RECORDED[label]
 
 
-# Airy tables, WKB pairs and lone Dirichlet solves above a size share work
-# on the pool (the two hill and sao spectra here), smaller ones never; with
-# one CPU every call runs in place
+# Airy tables, WKB pairs and lone Dirichlet solves above a size go to
+# hill._pool_map (the two hill and sao spectra here share their bisection),
+# smaller ones never; on one CPU _pool_map runs every call in place.  Tier 1
+# runs these four on one CPU; `scripts/output_digests.py --one-cpu` runs
+# every reference command that way.
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 @pytest.mark.parametrize("label", [
     "hill --j 1 --xi 1 --beta 2 --grid-n 4096 --seed 7",

@@ -85,6 +85,12 @@ class TestHillSao:
         assert payload["n_levels"] == 2
         assert payload["lower"]["mean"] <= payload["upper"]["mean"] + 1e-9
 
+    def test_sandwich_takes_zero_levels_as_given(self, capsys):
+        # --n-levels 0 once fell back to the levels of --z, as an unset flag does
+        code, out = run_cli(["sao", "sandwich", "--n-levels", "0", "--samples", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["n_levels"] == 0
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path, capsys):
@@ -222,6 +228,33 @@ class TestExitCodes:
         assert main(["variational", "--z", "-1", "--beta", "2", "--t", "1e300"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:")
+        assert captured.out == ""
+
+    def test_too_many_determinant_nodes_is_a_domain_error_before_any_rule(
+            self, capsys, monkeypatch):
+        # 100000 nodes once ended in numpy's _ArrayMemoryError (74.5 GiB) inside leggauss
+        def costly(*args, **kwargs):
+            raise AssertionError("built a node rule before the node count was checked")
+
+        monkeypatch.setattr(fredholm.np.polynomial.legendre, "leggauss", costly)
+        assert main(["fredholm", "--s", "1", "--t", "1", "--grid-n", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:")
+        assert "at most 1024" in captured.err
+        assert captured.out == ""
+
+    def test_ldp_grid_too_coarse_for_the_cap_is_a_resolution_error_before_any_path(
+            self, capsys, monkeypatch):
+        # cells about 4.9 long under a cap of 1e4 once gave -0.0233 against -0.0503, exit 0
+        def costly(*args, **kwargs):
+            raise AssertionError("drew a path before the grid was checked")
+
+        monkeypatch.setattr(NoisePath, "sample", costly)
+        assert main(["sao", "ldp", "--z", "-1", "--t", "1e6", "--samples", "2",
+                     "--importance"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resolution error:")
+        assert "grid_n = 3164808 would pass" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("xi", ["1e-140", "1e-150"])

@@ -232,18 +232,20 @@ def _scipy_stebz(diag, off, cap):
 def _routes(monkeypatch):
     """Counter of the dstebz calls and of the bisections shared on the pool, on any thread."""
     routes = collections.Counter()
-    stebz, shared_map = hill._stebz, hill._shared_map
+    stebz, pool_map = hill._stebz, hill._pool_map
 
     def counted_stebz(*args):
         routes["dstebz"] += 1
         return stebz(*args)
 
     def counted_map(fn, tasks):
-        routes[fn.__name__] += 1
-        return shared_map(fn, tasks)
+        # only a split bisection hands _pool_map two shares; one share runs in the caller
+        if len(tasks) == 2:
+            routes[fn.__name__] += 1
+        return pool_map(fn, tasks)
 
     monkeypatch.setattr(hill, "_stebz", counted_stebz)
-    monkeypatch.setattr(hill, "_shared_map", counted_map)
+    monkeypatch.setattr(hill, "_pool_map", counted_map)
     return routes
 
 

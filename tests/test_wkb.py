@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airylab import hill, wkb
+from airylab import wkb
 from airylab.errors import DomainError
 from airylab.mc import spawn_rng
 from airylab.wkb import (PotentialProfile, _periodic_matrix, min_partial_sum,
@@ -96,7 +96,7 @@ class TestSharedPair:
         def no_pool(*args):
             raise AssertionError("a pair below the share size used the pool")
 
-        monkeypatch.setattr(hill, "_in_order", no_pool)
+        monkeypatch.setattr(wkb, "_pool_map", no_pool)
         periodic_hill_pair(random_profile(spawn_rng(82, "small-pair"),
                                           grid_n=wkb._SHARE_MIN_CELLS // 2))
 
