@@ -118,6 +118,9 @@ def _cmd_sao(args: argparse.Namespace) -> tuple[int, str]:
         return _EXIT_OK, _json_dump(payload)
     est = ldp_estimate(args.z, args.t, args.beta, a=args.a, n_samples=args.samples,
                        seed=args.seed, grid_n=args.grid_n, use_importance=args.importance)
+    if est.ess < 0.05 * est.n_samples:  # a few samples carry the mean and its stderr
+        print(f"warning: effective sample size {est.ess:.3g} of {est.n_samples} samples, "
+              f"largest weight share {est.max_weight_share:.2g}", file=sys.stderr)
     payload = {**_header(args), "mean": est.mean, "stderr": est.stderr,
                "samples": est.n_samples, "target": -phi_minus_scaled(args.beta, args.z),
                "importance": args.importance}

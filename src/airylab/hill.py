@@ -46,7 +46,7 @@ _GROUPS_PER_WORKER = 2
 # as solving it, and the pool is no faster than solving in place
 _POOL_MIN_CELLS = 2048
 # a lone Dirichlet solve of at least this many rows, made outside the pool,
-# shares its bisection between two pool threads.  On 2 Xeon CPUs (medians
+# shares its bisection among the pool's threads.  On 2 Xeon CPUs (medians
 # of 9 x 20 solves, dstebz -> shared) a Hill cap-160 and an SAO cap-5 solve
 # took 2.33 -> 2.47 and 1.71 -> 2.20 ms at 2047 rows, 4.38 -> 3.74 and
 # 3.18 -> 3.20 ms at 4095, 8.14 -> 6.12 and 6.35 -> 5.64 ms at 8191
@@ -296,25 +296,10 @@ def _dlaebz(sturm: tuple, ijob: int, nitmax: int, ab: np.ndarray, nab: np.ndarra
     return mout.value, info.value
 
 
-def _balanced_half(counts: list[int]) -> list[int] | None:
-    """Indices of counts summing to half their total, rounded down, if the total is 2 or more.
-
-    Those intervals and the rest then hold numbers of eigenvalues that
-    differ by at most one.
-    """
-    target = sum(counts) // 2
-    reach = {0: []}
-    for i, count in enumerate(counts):
-        for total, picked in list(reach.items()):
-            if total + count <= target:
-                reach.setdefault(total + count, picked + [i])
-    return reach.get(target) if target > 0 else None
-
-
 def _finish(task: tuple) -> tuple[np.ndarray, np.ndarray, int]:
-    """Bisect the intervals of one share to the end: (ab, nab, INFO) of all its intervals."""
+    """Bisect a task's open interval to the end: (ab, nab, INFO) of all it becomes."""
     sturm, ab, nab, nitmax = task
-    # room for every interval the share can become: each holds an eigenvalue
+    # room for every interval the task can become: each holds an eigenvalue
     room = int((nab[1] - nab[0]).sum())
     ab_all, nab_all = np.empty((2, room)), np.empty((2, room), dtype=np.intc)
     ab_all[:, :ab.shape[1]], nab_all[:, :nab.shape[1]] = ab, nab
@@ -324,18 +309,20 @@ def _finish(task: tuple) -> tuple[np.ndarray, np.ndarray, int]:
 
 def _shared_stebz(d: np.ndarray, e: np.ndarray, lower: float,
                   cap: float) -> tuple[np.ndarray, int] | None:
-    """What _stebz returns, from dstebz's algorithm run on two pool threads; None to call dstebz.
+    """What _stebz returns, from dstebz's algorithm run on the pool's threads; None to call dstebz.
 
     The setup is dstebz's, step for step: the split test and PIVMIN, the
     Gershgorin interval widened by FUDGE, ATOLI from its wider end, the
     clip to (lower, cap] and ITMAX.  dlaebz, the routine dstebz calls,
     counts the eigenvalues in the interval and halves it here, one
-    iteration at a time, until the open intervals fall into two shares
-    whose numbers of eigenvalues differ by at most one; each share is then
-    bisected to the end on its own pool thread.  An interval's halvings
+    iteration at a time, until two or more intervals are open and none
+    holds more than half the eigenvalues, rounded up.  Each open interval
+    is then one pool task, bisected to the end, the most eigenvalues first,
+    so the pool's queue balances the threads.  An interval's halvings
     depend on it alone, and each eigenvalue is the midpoint of its closed
-    interval, so the values are dstebz's bit for bit.  None when the matrix
-    splits into blocks or (lower, cap] holds fewer than 2 eigenvalues.
+    interval, so the values are dstebz's bit for bit in any task order.
+    None when the matrix splits into blocks or (lower, cap] holds fewer
+    than 2 eigenvalues.
     """
     n = d.size
     e2 = np.append(e * e, 0.0)
@@ -370,16 +357,15 @@ def _shared_stebz(d: np.ndarray, e: np.ndarray, lower: float,
     opened, done = 1, 0
     while True:
         counts = (nab[1, :opened] - nab[0, :opened]).tolist()
-        half = _balanced_half(counts)
-        if half is not None or sum(counts) < 2 or done == itmax:
+        total = sum(counts)
+        if total < 2 or done == itmax or (opened >= 2 and 2 * max(counts) <= total + 1):
             break
         mout, opened = _dlaebz(sturm, 2, 1, ab, nab, opened)
         done += 1
         place(ab[:, :mout - opened], nab[:, :mout - opened])
         ab[:, :opened], nab[:, :opened] = ab[:, mout - opened:mout], nab[:, mout - opened:mout]
-    rows = list(range(opened))
-    shares = [rows] if half is None else [half, [i for i in rows if i not in half]]
-    tasks = [(sturm, ab[:, share], nab[:, share], itmax - done) for share in shares if share]
+    largest_first = sorted(range(opened), key=counts.__getitem__, reverse=True)
+    tasks = [(sturm, ab[:, [i]], nab[:, [i]], itmax - done) for i in largest_first]
     info = 0
     for ab_done, nab_done, left in _pool_map(_finish, tasks):
         place(ab_done, nab_done)
@@ -397,8 +383,8 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, cap: float) -> np
     the interpreter lock, so the pool's threads solve in parallel.
     A call made outside the pool's threads with more than one usable CPU,
     on a matrix of at least _SHARE_MIN_ROWS rows that does not split and
-    holds at least 2 eigenvalues in range, shares its bisection between
-    two pool threads (_shared_stebz): dstebz's setup is repeated in Python
+    holds at least 2 eigenvalues in range, shares its bisection among the
+    pool's threads (_shared_stebz): dstebz's setup is repeated in Python
     and LAPACK's dlaebz, the routine dstebz calls, bisects; each interval
     is halved as in one dstebz call, so the eigenvalues are the same bits.
     Every other call, a batch solve on a pool thread among them, makes one
@@ -428,7 +414,7 @@ def hill_spectrum(config, path: NoisePath) -> SpectrumSample:
 
     config is a HillConfig or a SaoConfig (whose boundary is Dirichlet).
     A Dirichlet solve of at least _SHARE_MIN_ROWS rows, called outside the
-    pool, shares its bisection between two pool threads, bit for bit (see
+    pool, shares its bisection among the pool's threads, bit for bit (see
     tridiagonal_eigenvalues).
     """
     op = config.operator(path)

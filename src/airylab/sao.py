@@ -102,12 +102,32 @@ def weighted_log_samples(config: HillConfig | SaoConfig,
     return np.fromiter(map(log_statistic, spectra), float, n_samples) + log_w
 
 
+def _check_cap_h2(config: HillConfig | SaoConfig) -> None:
+    """ResolutionError when the cells are too wide for the cap, cap h^2 > _MAX_CAP_H2.
+
+    The estimators call it before any path is drawn; the message names the
+    grid_n that would pass.
+    """
+    cap_h2 = config.lambda_cap * config.h ** 2
+    if cap_h2 > _MAX_CAP_H2:
+        needed = math.ceil(config.grid_n * math.sqrt(cap_h2 / _MAX_CAP_H2))
+        raise ResolutionError(f"{config.grid_n} cells of width {config.h:.3g} under the cap "
+                              f"{config.lambda_cap:.6g} give cap h^2 = {cap_h2:.3g} > "
+                              f"{_MAX_CAP_H2}; grid_n = {needed} would pass")
+
+
 def _plain_expectation(config: HillConfig | SaoConfig, z: float, t: float, n_samples: int,
                        rng: np.random.Generator, seed: int, shift: float = 0.0) -> McEstimate:
-    """Plain Monte-Carlo E[exp(linear statistic)], the spectrum shifted by shift."""
+    """Plain Monte-Carlo E[exp(linear statistic)], the spectrum shifted by shift.
+
+    UnderflowDiagnostic when every sample's exponential underflows.
+    """
     log_vals = weighted_log_samples(
         config, lambda spectrum: linear_statistic(spectrum.shifted(shift), z, t),
         np.zeros(config.grid_n), n_samples, rng)
+    if np.all(log_vals < -745.0):
+        raise UnderflowDiagnostic("every plain Monte-Carlo sample underflows; "
+                                  "importance sampling (sao ldp --importance) reaches this tail")
     return estimate_from_log_samples(log_vals, seed)
 
 
@@ -121,22 +141,27 @@ def sandwich_check(z: float, t: float, beta: float, params: DiscretizationParams
     upper  = prod_{j=1}^{n} E_j
 
     Plain Monte-Carlo throughout; every factor uses an independent stream.
+    Grids too coarse for their caps (_check_cap_h2) are a ResolutionError
+    before any path is drawn.
     """
     n = params.n
     xi = params.xi
     threshold = -z * t ** (2.0 / 3.0)
     sao_domain_l = max(threshold, 0.0) + 10.0
+    hill_configs = [HillConfig(j=j, xi=xi, beta=beta, grid_n=hill_grid_n, lambda_cap=threshold)
+                    for j in range(0, n + 1)]
+    sao_streams = [("sandwich-middle", 0.0), ("sandwich-shifted", n * xi)]
+    sao_configs = [SaoConfig(beta=beta, domain_l=sao_domain_l, grid_n=sao_grid_n,
+                             lambda_cap=threshold - shift) for _, shift in sao_streams]
+    for config in hill_configs + sao_configs:
+        _check_cap_h2(config)
     hill_est = [
-        _plain_expectation(HillConfig(j=j, xi=xi, beta=beta, grid_n=hill_grid_n,
-                                      lambda_cap=threshold),
-                           z, t, n_samples, spawn_rng(seed, "sandwich-hill", j), seed)
-        for j in range(0, n + 1)
+        _plain_expectation(config, z, t, n_samples, spawn_rng(seed, "sandwich-hill", j), seed)
+        for j, config in enumerate(hill_configs)
     ]
     middle, shifted = [
-        _plain_expectation(SaoConfig(beta=beta, domain_l=sao_domain_l, grid_n=sao_grid_n,
-                                     lambda_cap=threshold - shift),
-                           z, t, n_samples, spawn_rng(seed, stream), seed, shift)
-        for stream, shift in [("sandwich-middle", 0.0), ("sandwich-shifted", n * xi)]
+        _plain_expectation(config, z, t, n_samples, spawn_rng(seed, stream), seed, shift)
+        for config, (stream, shift) in zip(sao_configs, sao_streams)
     ]
     decay = McEstimate(mean=math.exp(-n), stderr=0.0, n_samples=n_samples, seed=seed)
     lower = product_estimate(hill_est[:n] + [decay, shifted], seed)
@@ -160,8 +185,8 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
     Importance sampling draws the path with per-level drifts v_{j,*}
     (levels from the mesoscale decomposition, n = ceil(-z t^{2/3-a})) and
     reweights exactly, so both modes estimate the same expectation.  A
-    grid whose cells are too wide for the cap -z t^{2/3}, cap h^2 >
-    _MAX_CAP_H2, is a ResolutionError, raised before any path is drawn.
+    grid whose cells are too wide for the cap -z t^{2/3} (_check_cap_h2)
+    is a ResolutionError, raised before any path is drawn.
     """
     if z > 0.0:
         raise DomainError("ldp_estimate requires z <= 0")
@@ -176,24 +201,18 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
     else:
         domain_l = max(threshold, 0.0) + domain_margin
     config = SaoConfig(beta=beta, domain_l=domain_l, grid_n=grid_n, lambda_cap=threshold)
-    cap_h2 = threshold * config.h ** 2
-    if cap_h2 > _MAX_CAP_H2:
-        needed = math.ceil(domain_l * math.sqrt(threshold / _MAX_CAP_H2))
-        raise ResolutionError(f"{grid_n} cells of width {config.h:.3g} under the cap "
-                              f"{threshold:.6g} give cap h^2 = {cap_h2:.3g} > {_MAX_CAP_H2}; "
-                              f"grid_n = {needed} would pass")
-    rates = np.zeros(grid_n)
+    _check_cap_h2(config)
     if use_importance:
         mid = (np.arange(grid_n) + 0.5) * config.h
         level_of_cell = np.floor(mid / params.xi).astype(int) + 1
         inside = level_of_cell <= params.n
+        rates = np.zeros(grid_n)
         rates[inside] = t ** (2.0 / 3.0) * np.asarray(drifts)[level_of_cell[inside] - 1]
-    log_vals = weighted_log_samples(
-        config, lambda spectrum: linear_statistic(spectrum, z, t), rates, n_samples, rng)
-    if not use_importance and np.all(log_vals < -745.0):
-        raise UnderflowDiagnostic(
-            "every weighted sample underflows; enable importance sampling")
-    est = estimate_from_log_samples(log_vals, seed)
+        log_vals = weighted_log_samples(
+            config, lambda spectrum: linear_statistic(spectrum, z, t), rates, n_samples, rng)
+        est = estimate_from_log_samples(log_vals, seed)
+    else:
+        est = _plain_expectation(config, z, t, n_samples, rng, seed)
     if est.log_mean == -math.inf:
         raise UnderflowDiagnostic("Monte-Carlo mean rounded to zero")
     return McEstimate(mean=est.log_mean / t ** 2,

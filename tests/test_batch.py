@@ -236,14 +236,17 @@ def test_a_lone_large_solve_shares_its_bisection_on_the_pool(monkeypatch):
     pool_map = hill._pool_map
 
     def spy(fn, tasks):
-        shared.append((fn.__name__, len(tasks)))
+        shared.append((fn.__name__, [int((nab[1] - nab[0]).sum()) for _, _, nab, _ in tasks]))
         return pool_map(fn, tasks)
 
     monkeypatch.setattr(hill, "_pool_map", spy)
     cfg = SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0)
     spectrum = sao_spectrum(cfg, NoisePath.sample(spawn_rng(76, "lone"), cfg.grid_n, cfg.h))
     assert spectrum.eigenvalues.size >= 2
-    assert shared == [("_finish", 2)]
+    [(name, counts)] = shared
+    # one task per open interval, the most eigenvalues first, none with more than half
+    assert name == "_finish" and len(counts) >= 2 and sum(counts) == spectrum.eigenvalues.size
+    assert counts == sorted(counts, reverse=True) and 2 * counts[0] <= sum(counts) + 1
 
 
 def _submitted(monkeypatch):

@@ -91,6 +91,18 @@ class TestHillSao:
         assert code == 0
         assert json.loads(out)["n_levels"] == 0
 
+    def test_ldp_warns_of_few_effective_samples_on_stderr_only(self, capsys):
+        # 200 plain samples at t = 16: ESS 5.1 and -0.0564 +- 0.0017 against -0.0503
+        assert main(["sao", "ldp", "--z", "-1", "--t", "16", "--samples", "200",
+                     "--seed", "7"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["mean"] == pytest.approx(-0.0564, abs=1e-4)
+        assert captured.err == ("warning: effective sample size 5.14 of 200 samples, "
+                                "largest weight share 0.36\n")
+        assert main(["sao", "ldp", "--z", "-1", "--t", "16", "--samples", "200",
+                     "--seed", "7", "--importance"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path, capsys):
@@ -255,6 +267,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("resolution error:")
         assert "grid_n = 3164808 would pass" in captured.err
+        assert captured.out == ""
+
+    def test_sandwich_grid_too_coarse_for_the_cap_is_a_resolution_error_before_any_path(
+            self, capsys, monkeypatch):
+        # SAO cap h^2 about 9.6e5 and Hill cap h^2 about 0.15 once ran 33 s to
+        # print means of 0.0 +- 0.0 with exit 0
+        def costly(*args, **kwargs):
+            raise AssertionError("drew a path before the grids were checked")
+
+        monkeypatch.setattr(NoisePath, "sample", costly)
+        assert main(["sao", "sandwich", "--z", "-1", "--t", "1e6", "--samples", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resolution error:")
+        assert "grid_n = 317 would pass" in captured.err
+        assert captured.out == ""
+
+    def test_sandwich_whose_samples_all_underflow_is_a_resolution_error(self, capsys):
+        # cap h^2 is 0.084 here, but every plain sample once rounded to zero:
+        # three means of 0.0 +- 0.0 with exit 0
+        assert main(["sao", "sandwich", "--z", "-6", "--t", "16", "--samples", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resolution error: every plain Monte-Carlo sample")
         assert captured.out == ""
 
     @pytest.mark.parametrize("xi", ["1e-140", "1e-150"])

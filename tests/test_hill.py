@@ -230,8 +230,12 @@ def _scipy_stebz(diag, off, cap):
 
 
 def _routes(monkeypatch):
-    """Counter of the dstebz calls and of the bisections shared on the pool, on any thread."""
+    """Counter of the dstebz calls and of the bisections shared on the pool, on any thread.
+
+    routes.eigenvalues lists, per shared bisection, the eigenvalues its tasks hold.
+    """
     routes = collections.Counter()
+    routes.eigenvalues = []
     stebz, pool_map = hill._stebz, hill._pool_map
 
     def counted_stebz(*args):
@@ -239,9 +243,10 @@ def _routes(monkeypatch):
         return stebz(*args)
 
     def counted_map(fn, tasks):
-        # only a split bisection hands _pool_map two shares; one share runs in the caller
-        if len(tasks) == 2:
+        # a split bisection hands _pool_map one task per open interval, two or more
+        if len(tasks) >= 2:
             routes[fn.__name__] += 1
+            routes.eigenvalues.append(sum(int((nab[1] - nab[0]).sum()) for *_, nab, _ in tasks))
         return pool_map(fn, tasks)
 
     monkeypatch.setattr(hill, "_stebz", counted_stebz)
@@ -382,6 +387,7 @@ class TestLapackBinding:
         shared = sum(size >= 2 for size in found)
         assert shared > len(matrices) // 2
         assert routes == collections.Counter(_finish=shared, dstebz=len(matrices) - shared)
+        assert routes.eigenvalues == [size for size in found if size >= 2]
         return sum(found)
 
     @pytest.mark.parametrize("config", [
@@ -403,6 +409,40 @@ class TestLapackBinding:
                 matrices += _matrices(HillConfig(j=j, xi=1.0, beta=beta, grid_n=2 ** 14,
                                                  lambda_cap=160.0), 99 + j, 2)
         assert self._assert_shared_bits(monkeypatch, matrices) > 32
+
+    @pytest.mark.parametrize("config", [
+        SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0),
+        SaoConfig(beta=2.0, domain_l=40.0, grid_n=2 ** 14, lambda_cap=36.0),
+        HillConfig(j=1, xi=1.0, beta=2.0, grid_n=2 ** 14, lambda_cap=160.0),
+        None,
+    ], ids=["sao-cap-9", "sao-cap-36", "hill-cap-160", "two-eigenvalues"])
+    def test_lone_solve_bits_hold_for_any_task_order(self, monkeypatch, config):
+        # each open interval is bisected on its own, so the order in which the
+        # pool takes the tasks cannot move a bit
+        monkeypatch.setattr(hill, "_shares_here", lambda: True)
+        pool_map, rng, sizes = hill._pool_map, np.random.default_rng(102), []
+        order = None
+
+        def reordered(fn, tasks):
+            sizes.append(len(tasks))
+            return pool_map(fn, [tasks[k] for k in order(len(tasks))])
+
+        monkeypatch.setattr(hill, "_pool_map", reordered)
+        if config is None:
+            sao = SaoConfig(beta=2.0, domain_l=15.0, grid_n=2 ** 14, lambda_cap=9.0)
+            diag, off, cap = _matrices(sao, 102, 1)[0]
+            ev = _scipy_stebz(diag, off, cap)
+            matrices = [(diag, off, (ev[1] + ev[2]) / 2.0)]
+        else:
+            matrices = _matrices(config, 102, 2)
+        orders = [range, lambda n: range(n - 1, -1, -1), rng.permutation, rng.permutation]
+        for diag, off, cap in matrices:
+            expected = _scipy_stebz(diag, off, cap)
+            assert expected.size >= 2
+            for order in orders:
+                assert np.array_equal(tridiagonal_eigenvalues(diag, off, cap), expected)
+        assert len(sizes) == len(orders) * len(matrices) and min(sizes) >= 2
+        assert config is not None or sizes == [2] * len(orders)
 
     def test_solves_that_keep_one_dstebz_call(self, monkeypatch):
         monkeypatch.setattr(hill, "_shares_here", lambda: True)
