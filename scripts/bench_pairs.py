@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Run alternating pairs of benchmark runs on two checkouts and compare every metric.
 
-    python scripts/bench_pairs.py PARENT CHANGE                      # 10 pairs per workload
-    python scripts/bench_pairs.py PARENT CHANGE --workload kernel_sweep --pairs 4
+    python scripts/bench_pairs.py PARENT CHANGE --seed 3001
 
-PARENT and CHANGE are source checkouts (the root of each).  Pair k of a
-workload runs `perfbench/run.py --workload W --seed SEED+k --seconds S
---trace 0` in both, the parent first in even pairs and the change first in
-odd ones, so a drift in the machine's load falls on both sides.  The
-workloads, end-to-end metrics, directions (`better`) and bounds come from
-CHANGE's BENCHMARK.json.  For each workload and metric it prints the median
-and quartiles of each side, how many pairs the change wins (ties count for
-neither side), whether the medians differ by more than the parent's
-interquartile range, and whether the change's median is worse than the
-parent's by more than the bound; then each pair's two values.  Each pair's
-two results go to standard error as they come.  The exit code is 1 if any
-run failed a check, exited non-zero or printed no result.
+PARENT and CHANGE are source checkouts (the root of each).  Each workload
+in CHANGE's BENCHMARK.json runs PAIRS = 10 pairs, with the end-to-end metrics,
+directions (`better`) and bounds given there.  Pair k of a workload runs
+`perfbench/run.py --workload W --seed SEED+k --seconds S --trace 0` in
+both, the parent first in even pairs and the change first in odd ones, so
+a drift in the machine's load falls on both sides.  For each workload and
+metric it prints the median and quartiles of each side, how many pairs the
+change wins (ties count for neither side), whether the medians differ by
+more than the parent's interquartile range, whether the change's median is
+worse than the parent's by more than the bound, and whether the metric is
+unresolved: the parent's interquartile range, over its median, is wider
+than the bound and not every run of the change beats every run of the
+parent.  Then it prints each pair's two values.  Each pair's two results
+go to standard error as they come.  The exit code is 1 if any run failed
+a check, exited non-zero or printed no result.
 """
 import argparse
 import json
@@ -23,6 +25,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -64,10 +68,12 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     p_q = quartiles(parent)
     c_q = quartiles(change)
     worse_by = sign * (c_q[1] - p_q[1]) / abs(p_q[1])
+    beats_every_run = max(sign * c for c in change) < min(sign * p for p in parent)
     return {"parent": p_q, "change": c_q, "pairs": len(parent),
             "wins": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
             "beyond_parent_iqr": abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0],
-            "worse_by": worse_by, "beyond_bound": worse_by > bound}
+            "worse_by": worse_by, "beyond_bound": worse_by > bound,
+            "unresolved": (p_q[2] - p_q[0]) / abs(p_q[1]) > bound and not beats_every_run}
 
 
 def summarize(spec: dict, runs: dict) -> tuple[list[str], bool]:
@@ -97,7 +103,8 @@ def summarize(spec: dict, runs: dict) -> tuple[list[str], bool]:
                 f"{abs(facts['worse_by']):.1%} {'worse' if facts['worse_by'] > 0 else 'better'}; "
                 f"change wins {facts['wins']}/{facts['pairs']}; "
                 f"beyond the parent's IQR: {'yes' if facts['beyond_parent_iqr'] else 'no'}; "
-                f"beyond the bound: {'yes' if facts['beyond_bound'] else 'no'}")
+                f"beyond the bound: {'yes' if facts['beyond_bound'] else 'no'}; "
+                f"unresolved: {'yes' if facts['unresolved'] else 'no'}")
             lines.append("    pairs: " + " ".join(f"{p:.4g}/{c:.4g}" for p, c in values))
     return lines, all_passed
 
@@ -106,17 +113,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", action="append", default=None,
-                    help="run this workload only (repeatable); default every workload")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    names = args.workload or [w["name"] for w in spec["workloads"]]
     runs = {}
-    for name in names:
+    for name in (w["name"] for w in spec["workloads"]):
         runs[name] = []
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             pair = [None, None]
             for side in ((0, 1) if k % 2 == 0 else (1, 0)):
                 checkout = (args.parent, args.change)[side]

@@ -317,10 +317,14 @@ def _shared_stebz(d: np.ndarray, e: np.ndarray, lower: float,
     counts the eigenvalues in the interval and halves it here, one
     iteration at a time, until two or more intervals are open and none
     holds more than half the eigenvalues, rounded up.  Each open interval
-    is then one pool task, bisected to the end, the most eigenvalues first,
-    so the pool's queue balances the threads.  An interval's halvings
-    depend on it alone, and each eigenvalue is the midpoint of its closed
-    interval, so the values are dstebz's bit for bit in any task order.
+    is then one pool task, bisected to the end, the most eigenvalues first.
+    No task holds more than half the eigenvalues, but the threads' loads
+    can still differ: intervals of 2, 2 and 2 stop the halving and go 4
+    against 2 on two threads, and as _pool_map yields in order with few
+    tasks pending, a thread may wait for the first task to return before
+    it is handed more.  An interval's halvings depend on it alone, and each
+    eigenvalue is the midpoint of its closed interval, so the values are
+    dstebz's bit for bit in any task order.
     None when the matrix splits into blocks or (lower, cap] holds fewer
     than 2 eigenvalues.
     """

@@ -40,17 +40,28 @@ def test_compare_follows_the_metric_direction():
     lower = bench_pairs.compare(parent, faster, "lower", 0.25)
     assert lower["wins"] == 5 and lower["pairs"] == 5
     assert lower["worse_by"] == pytest.approx(-0.25)
-    assert lower["beyond_parent_iqr"] and not lower["beyond_bound"]
+    assert lower["beyond_parent_iqr"] and not lower["beyond_bound"] and not lower["unresolved"]
     higher = bench_pairs.compare(parent, faster, "higher", 0.1)
     assert higher["wins"] == 0
     assert higher["worse_by"] == pytest.approx(0.25)
-    assert higher["beyond_bound"]
+    assert higher["beyond_bound"] and higher["unresolved"]
 
 
 def test_ties_count_for_neither_side_and_a_small_move_stays_inside_the_iqr():
     facts = bench_pairs.compare([1.0, 2.0, 3.0, 4.0], [1.0, 2.1, 2.9, 4.0], "lower", 0.25)
     assert facts["wins"] == 1
     assert facts["worse_by"] == 0.0 and not facts["beyond_parent_iqr"]
+
+
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    parent = [1.0, 1.5, 2.0, 2.5, 3.0]  # interquartile range 1.0 about a median of 2.0
+    same = bench_pairs.compare(parent, list(parent), "lower", 0.25)
+    assert same["unresolved"] and not same["beyond_bound"]
+    # unless every run of the change beats every run of the parent
+    assert not bench_pairs.compare(parent, [0.5, 0.6, 0.7, 0.8, 0.9], "lower", 0.25)["unresolved"]
+    assert bench_pairs.compare(parent, [0.5, 0.6, 0.7, 0.8, 1.0], "lower", 0.25)["unresolved"]
+    assert not bench_pairs.compare(parent, [3.1, 3.2, 3.3, 3.4, 3.5], "higher", 0.25)["unresolved"]
+    assert not bench_pairs.compare(parent, list(parent), "lower", 0.5)["unresolved"]
 
 
 def test_summary_reports_each_metric_and_every_pair():
@@ -65,7 +76,7 @@ def test_summary_reports_each_metric_and_every_pair():
                                "-> change 1 [0.95-1.15], 9.1% better; change wins 2/3;")
     assert lines[2] == "    pairs: 1/0.9 1.2/1.3 1.1/1"
     assert "samples_per_s" in lines[3] and "change wins 2/3" in lines[3]
-    assert lines[3].endswith("beyond the parent's IQR: yes; beyond the bound: no")
+    assert lines[3].endswith("beyond the parent's IQR: yes; beyond the bound: no; unresolved: no")
 
 
 @pytest.mark.parametrize("bad", [_run(1.0, 40.0, failed=1), _run(1.0, 40.0, returncode=1),

@@ -444,6 +444,23 @@ class TestLapackBinding:
         assert len(sizes) == len(orders) * len(matrices) and min(sizes) >= 2
         assert config is not None or sizes == [2] * len(orders)
 
+    def test_halving_may_stop_at_intervals_two_threads_share_two_to_one(self, monkeypatch):
+        # two eigenvalues near each of 0, 0.6 and 1: two halvings leave open
+        # intervals of 2, 2 and 2, none with more than half of 6, so the
+        # halving stops there though two threads then bisect 4 against 2
+        diag, off, cap = np.array([0.0, 0.0, 0.6, 0.6, 1.0, 1.0]), np.full(5, 1e-3), 10.0
+        pool_map, counts = hill._pool_map, []
+
+        def spy(fn, tasks):
+            counts.append([int(nab[1, 0] - nab[0, 0]) for _, _, nab, _ in tasks])
+            return pool_map(fn, tasks)
+
+        monkeypatch.setattr(hill, "_pool_map", spy)
+        lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0)
+        w, info = hill._shared_stebz(diag, off, lower, cap)
+        assert counts == [[2, 2, 2]] and info == 0
+        assert np.array_equal(w, _scipy_stebz(diag, off, cap))
+
     def test_solves_that_keep_one_dstebz_call(self, monkeypatch):
         monkeypatch.setattr(hill, "_shares_here", lambda: True)
         routes = _routes(monkeypatch)
