@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fredholm import determinant_vs_point_process, proxy_f, proxy_psi
+from .fredholm import KernelParams, _factor_logs, determinant_vs_point_process, proxy_f
 from .hill import (HillConfig, NoisePath, SpectrumSample, counting_integral,
                    hill_spectrum, linear_statistic, riccati_count_hill)
 from .mc import spawn_rng
@@ -237,11 +237,16 @@ def criterion_9_proxy_bounds(seed: int, fast: bool) -> tuple[bool, dict]:
         a = float(rng.uniform(-5.0, 5.0))
         t = float(rng.uniform(0.1, 30.0))
         z = float(rng.uniform(-5.0, 5.0))
-        neg_part = max(-t * (z + a), 0.0)
-        gap = abs(proxy_psi(a, t, z) - neg_part)
-        bound = math.exp(-t * abs(z + a))
-        # subtracting neg_part from psi loses ~eps * |t(z+a)| absolutely
-        slack = 8.0 * eps * (1.0 + t * abs(z + a))
+        # psi at s = e^{-tz}, lam = a t^{2/3}; the bound takes u as _factor_logs forms
+        # it, since -t(z+a) differs from it by rounding the slack does not cover
+        params = KernelParams(s=math.exp(-t * z), t=t)
+        lam = a * t ** (2.0 / 3.0)
+        psi = -float(_factor_logs(params, np.array([lam]))[0][0])
+        u = math.log(params.s) - params.t13 * lam
+        gap = abs(psi - max(u, 0.0))
+        bound = math.exp(-abs(u))
+        # subtracting u_+ from psi loses ~eps * |u| absolutely
+        slack = 8.0 * eps * (1.0 + abs(u))
         worst = max(worst, gap - bound)
         ok &= gap <= bound + slack
     xs = np.linspace(-40.0, 6.0, 200)

@@ -1,7 +1,8 @@
 """Command-line entry point wiring the modules into reproducible runs.
 
-Every command records its seed in the output; identical (command, params,
-seed) produce byte-identical files.  Exit codes: 0 success, 1 DomainError or
+Every command that takes --seed records it in the output; identical
+(command, params, seed) produce byte-identical files.  A command accepts
+only the flags it reads.  Exit codes: 0 success, 1 DomainError or
 ConfigurationError, 2 resolution/convergence error, 64 usage error.
 """
 from __future__ import annotations
@@ -31,9 +32,38 @@ _EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error, also for a flag given without the one it needs.
+
+    Flags are not abbreviated: `sao spectrum --lambda 2` would set --lambda-cap.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for flag, other in vars(namespace).pop("needs", {}).items():
+            dest = other.lstrip("-").replace("-", "_")
+            # the flags and words that others need default to None or False
+            if getattr(namespace, dest) is self.get_default(dest):
+                self.error(f"{flag} is read only with {other}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _Needs(argparse.Action):
+    """Stores a flag the command reads only when the flag or word `needs` is given too."""
+
+    def __init__(self, option_strings, dest, needs, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.needs = needs
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.needs = {**getattr(namespace, "needs", {}), option_string: self.needs}
 
 
 def _json_dump(payload: dict) -> str:
@@ -98,24 +128,26 @@ def _cmd_hill(args: argparse.Namespace) -> tuple[int, str]:
     return _spectrum_or_count(args, config, "hill", args.lam)
 
 
-def _cmd_sao(args: argparse.Namespace) -> tuple[int, str]:
-    sub = args.subcommand
-    if sub in ("spectrum", "count"):
-        config = SaoConfig(beta=args.beta, domain_l=args.domain_l, grid_n=args.grid_n,
-                           lambda_cap=args.lambda_cap)
-        lam = args.lam if sub == "count" else None
-        return _spectrum_or_count(args, config, f"sao-{sub}", lam)
-    if sub == "sandwich":
-        params = (DiscretizationParams(t=args.t, a=args.a, n=args.n_levels)
-                  if args.n_levels is not None
-                  else DiscretizationParams.from_deviation(args.z, args.t, args.a))
-        lower, middle, upper = sandwich_check(args.z, args.t, args.beta, params,
-                                              args.samples, seed=args.seed)
-        payload = {**_header(args), "n_levels": params.n}
-        for name, est in [("lower", lower), ("middle", middle), ("upper", upper)]:
-            payload[name] = {"mean": est.mean, "stderr": est.stderr,
-                             "samples": est.n_samples, "seed": int(est.seed)}
-        return _EXIT_OK, _json_dump(payload)
+def _cmd_sao_operator(args: argparse.Namespace) -> tuple[int, str]:
+    config = SaoConfig(beta=args.beta, domain_l=args.domain_l, grid_n=args.grid_n,
+                       lambda_cap=args.lambda_cap)
+    return _spectrum_or_count(args, config, f"sao-{args.subcommand}", args.lam)
+
+
+def _cmd_sandwich(args: argparse.Namespace) -> tuple[int, str]:
+    params = (DiscretizationParams(t=args.t, a=args.a, n=args.n_levels)
+              if args.n_levels is not None
+              else DiscretizationParams.from_deviation(args.z, args.t, args.a))
+    lower, middle, upper = sandwich_check(args.z, args.t, args.beta, params,
+                                          args.samples, seed=args.seed)
+    payload = {**_header(args), "n_levels": params.n}
+    for name, est in [("lower", lower), ("middle", middle), ("upper", upper)]:
+        payload[name] = {"mean": est.mean, "stderr": est.stderr,
+                         "samples": est.n_samples, "seed": int(est.seed)}
+    return _EXIT_OK, _json_dump(payload)
+
+
+def _cmd_ldp(args: argparse.Namespace) -> tuple[int, str]:
     est = ldp_estimate(args.z, args.t, args.beta, a=args.a, n_samples=args.samples,
                        seed=args.seed, grid_n=args.grid_n, use_importance=args.importance)
     if est.ess < 0.05 * est.n_samples:  # a few samples carry the mean and its stderr
@@ -162,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, handler, seed=0):
-        sp.add_argument("--seed", type=int, default=seed)
+        """--seed (with seed None the command draws nothing and takes none) and --out."""
+        if seed is not None:
+            sp.add_argument("--seed", type=int, default=seed)
         sp.add_argument("--out", dest="out_path", default=None)
         sp.set_defaults(handler=handler)
 
@@ -171,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z-max", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--beta", type=float, default=2.0)
-    add_common(sp, _cmd_rate_fn)
+    add_common(sp, _cmd_rate_fn, seed=None)
 
     sp = sub.add_parser("variational", help="drift variational identity (JSON)")
     sp.add_argument("--z", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--a", type=float, default=0.0)
+    sp.add_argument("--a", type=float, default=0.0, action=_Needs, needs="--t")
     add_common(sp, _cmd_variational)
 
     sp = sub.add_parser("hill", help="Hill spectrum (CSV) or Riccati count (JSON)")
@@ -190,20 +224,37 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     add_common(sp, _cmd_hill)
 
-    sp = sub.add_parser("sao", help="stochastic Airy operator experiments")
-    sp.add_argument("subcommand", choices=["spectrum", "count", "sandwich", "ldp"])
-    sp.add_argument("--beta", type=float, default=2.0)
-    sp.add_argument("--z", type=float, default=-1.0)
-    sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--grid-n", type=int, default=2048)
-    sp.add_argument("--domain-l", type=float, default=12.0)
-    sp.add_argument("--lambda-cap", type=float, default=5.0)
+    sao = sub.add_parser("sao", help="stochastic Airy operator experiments").add_subparsers(
+        dest="subcommand", required=True)
+    operator = _Parser(add_help=False)  # SaoConfig's flags
+    operator.add_argument("--beta", type=float, default=2.0)
+    operator.add_argument("--grid-n", type=int, default=2048)
+    operator.add_argument("--domain-l", type=float, default=12.0)
+    operator.add_argument("--lambda-cap", type=float, default=5.0)
+    deviation = _Parser(add_help=False)  # the deviation z at time t and the sample count
+    deviation.add_argument("--beta", type=float, default=2.0)
+    deviation.add_argument("--z", type=float, default=-1.0)
+    deviation.add_argument("--t", type=float, default=1.0)
+    deviation.add_argument("--samples", type=int, default=1000)
+
+    sp = sao.add_parser("spectrum", parents=[operator], help="SAO spectrum of one path (CSV)")
+    sp.set_defaults(lam=None)
+    add_common(sp, _cmd_sao_operator)
+
+    sp = sao.add_parser("count", parents=[operator], help="Riccati count on one path (JSON)")
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--samples", type=int, default=1000)
+    add_common(sp, _cmd_sao_operator)
+
+    sp = sao.add_parser("sandwich", parents=[deviation], help="localization sandwich (JSON)")
+    sp.add_argument("--a", type=float, default=0.0)
     sp.add_argument("--n-levels", type=int, default=None)
+    add_common(sp, _cmd_sandwich)
+
+    sp = sao.add_parser("ldp", parents=[deviation], help="large-deviation estimate (JSON)")
+    sp.add_argument("--a", type=float, default=0.0, action=_Needs, needs="--importance")
+    sp.add_argument("--grid-n", type=int, default=2048)
     sp.add_argument("--importance", action="store_true")
-    add_common(sp, _cmd_sao)
+    add_common(sp, _cmd_ldp)
 
     sp = sub.add_parser("fredholm", help="Fredholm determinant, optional MC cross-check")
     sp.add_argument("compare", nargs="?", choices=["compare"], default=None)
@@ -212,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-n", dest="grid_nodes", type=int, default=96,
                     help="Nystrom node count")
     sp.add_argument("--xmax", dest="x_max", type=float, default=16.0)
-    sp.add_argument("--samples", type=int, default=2000)
-    sp.add_argument("--sao-grid-n", dest="sao_grid_n", type=int, default=2 ** 14)
-    sp.add_argument("--domain-l", type=float, default=40.0)
-    sp.add_argument("--lambda-cap", type=float, default=36.0)
-    sp.add_argument("--factor-tol", type=float, default=1e-12)
+    # read only by compare
+    for flag, kind, default in [("--samples", int, 2000), ("--sao-grid-n", int, 2 ** 14),
+                                ("--domain-l", float, 40.0), ("--lambda-cap", float, 36.0),
+                                ("--factor-tol", float, 1e-12)]:
+        sp.add_argument(flag, type=kind, default=default, action=_Needs, needs="compare")
     add_common(sp, _cmd_fredholm)
 
     sp = sub.add_parser("wkb", help="randomized WKB inequality report (JSON)")

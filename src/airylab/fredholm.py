@@ -458,10 +458,3 @@ def proxy_f(x: float) -> float:
         return 0.0
     return math.exp(-math.exp(x))
 
-
-def proxy_psi(a: float, t: float, z: float) -> float:
-    """log(1 + e^{-t(z+a)}); approaches t(z+a)_- for large t."""
-    u = -t * (z + a)
-    if u > 0:
-        return u + math.log1p(math.exp(-u))
-    return math.log1p(math.exp(u))

@@ -179,17 +179,26 @@ class CellOperator:
         return self.potential((np.arange(self.slopes.size) + 0.5) * self.h) + self.slopes
 
 
-def check_cell_width(length: float, grid_n: int) -> None:
-    """DomainError unless h^2 and 1/h^2 are finite and positive, h = length / grid_n.
+def check_grid(beta: float, length: float, grid_n: int, lambda_cap: float) -> None:
+    """The checks HillConfig and SaoConfig share, in this order.
 
-    The operators' off-diagonal is -1/h^2; the configs check it before any
-    path is drawn.
+    DomainError unless beta > 0; ConfigurationError for fewer than 16
+    cells; DomainError unless h^2 and 1/h^2 are finite and positive,
+    h = length / grid_n (the operators' off-diagonal is -1/h^2);
+    ConfigurationError for a cap that is not finite.  The configs check
+    their grid before any path is drawn.
     """
+    if not beta > 0.0:
+        raise DomainError(f"the operator requires beta > 0, got {beta}")
+    if grid_n < 16:
+        raise ConfigurationError("grid_n must be at least 16")
     h = length / grid_n
     h2 = h * h
     if not (0.0 < h2 < _INF and 1.0 / h2 < _INF):
         raise DomainError(f"cell width {h} gives h^2 = {h2}; "
                           "the operator needs finite h^2 and 1/h^2")
+    if not math.isfinite(lambda_cap):
+        raise ConfigurationError("lambda_cap must be finite")
 
 
 @dataclass(frozen=True)
@@ -208,13 +217,7 @@ class HillConfig:
             raise DomainError("level index j must be a natural number")
         if not self.xi > 0.0:
             raise DomainError("HillConfig requires xi > 0")
-        if not self.beta > 0.0:
-            raise DomainError("HillConfig requires beta > 0")
-        if self.grid_n < 16:
-            raise ConfigurationError("grid_n must be at least 16")
-        check_cell_width(self.xi, self.grid_n)
-        if not math.isfinite(self.lambda_cap):
-            raise ConfigurationError("lambda_cap must be finite")
+        check_grid(self.beta, self.xi, self.grid_n, self.lambda_cap)
 
     @property
     def h(self) -> float:

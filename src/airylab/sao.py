@@ -20,13 +20,13 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResolutionError, UnderflowDiagnostic
-from .hill import (Boundary, CellOperator, HillConfig, NoisePath, SpectrumSample, check_cell_width,
+from .hill import (Boundary, CellOperator, HillConfig, NoisePath, SpectrumSample, check_grid,
                    dirichlet_spectra, hill_spectrum, linear_statistic, riccati_count_hill)
 # perfbench/bench_trace.py wraps the bindings sao.riccati_cell_counts and
 # sao.tridiagonal_eigenvalues
 from .hill import riccati_cell_counts, tridiagonal_eigenvalues  # noqa: F401
 from .mc import McEstimate, estimate_from_log_samples, product_estimate, spawn_rng
-from .variational import DiscretizationParams, DriftProblem, optimal_drift
+from .variational import DiscretizationParams, optimal_drift
 
 _DOMAIN_MARGIN_MIN = 4.0
 # the finite-difference eigenvalue near lambda is low by a relative
@@ -45,15 +45,10 @@ class SaoConfig:
     lambda_cap: float
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise DomainError("SaoConfig requires beta > 0")
+        # a negative length would pass check_grid's h^2 test
         if not self.domain_l > 0.0:
             raise ConfigurationError("SaoConfig requires domain_l > 0")
-        if self.grid_n < 16:
-            raise ConfigurationError("grid_n must be at least 16")
-        check_cell_width(self.domain_l, self.grid_n)
-        if not math.isfinite(self.lambda_cap):
-            raise ConfigurationError("lambda_cap must be finite")
+        check_grid(self.beta, self.domain_l, self.grid_n, self.lambda_cap)
         if self.lambda_cap > 0.0 and self.domain_l < self.lambda_cap + _DOMAIN_MARGIN_MIN:
             # eigenfunctions below the cap must decay before the wall; the
             # boundary-sensitivity test validates this margin
@@ -169,11 +164,9 @@ def sandwich_check(z: float, t: float, beta: float, params: DiscretizationParams
     return lower, middle, upper
 
 
-def optimal_drift_profile(z: float, beta: float, params: DiscretizationParams) -> list[float]:
+def optimal_drift_profile(z: float, beta: float, params: DiscretizationParams) -> np.ndarray:
     """v_{j,*} for levels j = 1 .. n at the continuum positions nu_j = j t^{a-2/3}."""
-    spacing = params.level_spacing
-    return [optimal_drift(DriftProblem(z=z, beta=beta, nu=j * spacing))
-            for j in range(1, params.n + 1)]
+    return optimal_drift(z, beta, params.level_spacing * np.arange(1, params.n + 1))
 
 
 def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
@@ -207,7 +200,7 @@ def ldp_estimate(z: float, t: float, beta: float, *, a: float = 0.0,
         level_of_cell = np.floor(mid / params.xi).astype(int) + 1
         inside = level_of_cell <= params.n
         rates = np.zeros(grid_n)
-        rates[inside] = t ** (2.0 / 3.0) * np.asarray(drifts)[level_of_cell[inside] - 1]
+        rates[inside] = t ** (2.0 / 3.0) * drifts[level_of_cell[inside] - 1]
         log_vals = weighted_log_samples(
             config, lambda spectrum: linear_statistic(spectrum, z, t), rates, n_samples, rng)
         est = estimate_from_log_samples(log_vals, seed)

@@ -31,23 +31,6 @@ _MAX_LEVELS = 10 ** 6
 
 
 @dataclass(frozen=True)
-class DriftProblem:
-    """One level of the drift problem: deviation depth z, noise beta, level nu."""
-
-    z: float
-    beta: float
-    nu: float
-
-    def __post_init__(self):
-        if self.z > 0.0:
-            raise DomainError("DriftProblem requires z <= 0")
-        if not self.beta > 0.0:
-            raise DomainError("DriftProblem requires beta > 0")
-        if self.nu < 0.0:
-            raise DomainError("DriftProblem requires nu >= 0")
-
-
-@dataclass(frozen=True)
 class DiscretizationParams:
     """Mesoscale discretization: interval length xi = t^a, n levels."""
 
@@ -84,10 +67,14 @@ class DiscretizationParams:
 def _depth_and_drift(z: float, beta: float, nu: float | np.ndarray):
     """(c, v*) of the module docstring; nu may be a float or an array.
 
-    Raises DomainError for a beta > 0 so small or so large that the
-    formula's factors (beta pi/2)^2 and 4/(pi^2 beta^{3/2}) leave the
-    double range.
+    Raises DomainError for z > 0, for beta not > 0 and for a beta so small
+    or so large that the formula's factors (beta pi/2)^2 and
+    4/(pi^2 beta^{3/2}) leave the double range.
     """
+    if z > 0.0:
+        raise DomainError("the drift formula requires z <= 0")
+    if not beta > 0.0:
+        raise DomainError("the drift formula requires beta > 0")
     try:
         k2 = (beta * math.pi / 2.0) ** 2
         scale = 4.0 / (math.pi ** 2 * beta ** 1.5)
@@ -100,9 +87,9 @@ def _depth_and_drift(z: float, beta: float, nu: float | np.ndarray):
     return c, scale * (s - 1.0)
 
 
-def optimal_drift(p: DriftProblem) -> float:
-    """Closed-form minimizer v* of the per-level cost J."""
-    return float(_depth_and_drift(p.z, p.beta, p.nu)[1])
+def optimal_drift(z: float, beta: float, nu: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form minimizer v* of the per-level cost J at level nu, a float or an array."""
+    return _depth_and_drift(z, beta, nu)[1]
 
 
 def _objective_values(nu: np.ndarray, z: float, beta: float) -> np.ndarray:

@@ -90,6 +90,14 @@ def test_criterion_9_proxy_bounds():
     _run(acceptance.criterion_9_proxy_bounds)
 
 
+def test_criterion_9_passes_at_two_hundred_seeds():
+    # the softplus bound in u as _factor_logs forms it; in -t(z+a) it failed
+    # 11 of these seeds, by rounding the slack does not cover near z = -a
+    failed = [seed for seed in range(1, 200)
+              if not acceptance.criterion_9_proxy_bounds(seed=seed).passed]
+    assert failed == []
+
+
 def test_budget_overrun_fails_the_criterion(monkeypatch):
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", [])
 

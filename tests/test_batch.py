@@ -358,7 +358,7 @@ RECORDED = {
     "scripts/fredholm_sweep.py --s 0.5 1 2 --samples 100 --grid-n 2048": "3c3aeac05ab3f51b",
     "scripts/fredholm_sweep.py --s 0.25 4 64 --t 2 --samples 50 --grid-n 2048": "8512dfd067536006",
     "scripts/sandwich_scan.py --n 1 2 --samples 300": "45a1b6f06d5239fc",
-    "report --skip mc --fast, runtime_s stripped": "36ba57c1e90d71f4",
+    "report --skip mc --fast, runtime_s stripped": "72d887171aa87ac4",
 }
 
 

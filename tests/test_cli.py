@@ -134,6 +134,60 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("argv", [
+        # each once printed the output of the command without its extra flags, exit 0
+        ["sao", "sandwich", "--z", "-1", "--t", "1", "--n-levels", "2", "--samples", "50",
+         "--seed", "7", "--grid-n", "16", "--domain-l", "3", "--lambda-cap", "99",
+         "--importance", "--lambda", "5"],
+        ["fredholm", "--s", "1", "--t", "1", "--samples", "3", "--sao-grid-n", "7",
+         "--factor-tol", "5"],
+        *(["fredholm", "--s", "1", "--t", "1", flag, "1"]
+          for flag in ("--samples", "--sao-grid-n", "--domain-l", "--lambda-cap", "--factor-tol")),
+        ["sao", "ldp", "--z", "-1", "--t", "4", "--samples", "3", "--n-levels", "9",
+         "--domain-l", "1", "--lambda-cap", "-3"],
+        ["sao", "ldp", "--z", "-1", "--t", "4", "--samples", "3", "--a", "0.5"],
+        ["sao", "spectrum", "--grid-n", "64", "--z", "3", "--t", "-5", "--samples", "-1",
+         "--importance"],
+        ["sao", "spectrum", "--grid-n", "64", "--lambda", "2"],  # a prefix of --lambda-cap
+        ["variational", "--z", "-1", "--beta", "2", "--a", "0.9"],
+        ["rate-fn", "--z-min", "-1", "--z-max", "0", "--steps", "2", "--seed", "3"],
+        # once a resolution error that named a grid_n the flag never reached
+        ["sao", "sandwich", "--z", "-1", "--t", "1e6", "--samples", "2", "--grid-n", "400000"],
+    ])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["variational", "--z", "-1", "--beta", "2", "--t", "100"], ["--a", "0.1"]),
+        (["sao", "ldp", "--z", "-1", "--t", "4", "--samples", "2", "--grid-n", "256",
+          "--importance"], ["--a", "0.1"]),
+        (["fredholm", "compare", "--s", "1", "--t", "1", "--samples", "2", "--sao-grid-n",
+          "256", "--domain-l", "12", "--lambda-cap", "5", "--factor-tol", "0.01"],
+         ["--samples", "3"]),
+    ])
+    def test_a_flag_given_with_the_one_it_needs_is_read(self, capsys, argv, flag):
+        assert main(argv) == 0
+        without = capsys.readouterr().out
+        assert main(argv + flag) == 0
+        assert capsys.readouterr().out != without
+
+    def test_t_zero_is_given_and_lets_a_through_to_its_domain_error(self, capsys):
+        assert main(["variational", "--z", "-1", "--beta", "2", "--t", "0", "--a", "0.1"]) == 1
+        assert capsys.readouterr().err.startswith("domain error:")
+
+    @pytest.mark.parametrize("argv", [["sao", "ldp", "--beta", "-1", "--importance"],
+                                      ["sao", "ldp", "--beta", "-1"]])
+    def test_ldp_with_negative_beta_is_a_domain_error(self, capsys, argv):
+        assert main(argv + ["--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:")
+        assert captured.out == ""
+
     def test_domain_error_exit_one(self, capsys):
         code = main(["variational", "--z", "0.5", "--beta", "2"])
         assert code == 1

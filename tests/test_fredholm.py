@@ -13,7 +13,7 @@ from airylab.airy import ai_values
 from airylab.errors import DomainError, IncompleteSpectrumError, ResolutionError
 from airylab.fredholm import (KernelParams, QuadratureGrid, airy_moments, airy_product_estimate,
                               clustered_nodes, determinant_vs_point_process, fredholm_det,
-                              kernel_eval, kernel_grid, proxy_f, proxy_psi,
+                              _factor_logs, kernel_eval, kernel_grid, proxy_f,
                               sample_sao2_spectra, truncation_threshold)
 from airylab.hill import SpectrumSample
 from airylab.mc import spawn_rng
@@ -532,20 +532,32 @@ class TestProxies:
         vals = [proxy_f(float(x)) for x in xs]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
-    def test_psi_at_zero_argument(self):
-        assert proxy_psi(1.0, 2.0, -1.0) == pytest.approx(math.log(2.0), rel=1e-15)
 
-    def test_psi_negative_part_bound(self):
+class TestFactorLogs:
+    """_factor_logs's log(1 - phi) = -log(1 + e^u), u = log s - t^{1/3} lam, the softplus."""
+
+    def test_softplus_at_zero_argument(self):
+        g, phi = _factor_logs(KernelParams(s=1.0, t=2.0), np.array([0.0]))
+        assert -g[0] == pytest.approx(math.log(2.0), rel=1e-15)
+        assert phi[0] == pytest.approx(0.5, rel=1e-15)
+
+    def test_softplus_negative_part_bound(self):
+        # |log(1 + e^u) - u_+| <= e^{-|u|}, at u = -t(z+a) as criterion 9 draws it
         rng = spawn_rng(65, "psi")
         eps = np.finfo(float).eps
         for _ in range(1000):
             a = float(rng.uniform(-5.0, 5.0))
             t = float(rng.uniform(0.1, 30.0))
             z = float(rng.uniform(-5.0, 5.0))
-            neg = max(-t * (z + a), 0.0)
-            gap = abs(proxy_psi(a, t, z) - neg)
-            assert gap <= math.exp(-t * abs(z + a)) + 8.0 * eps * (1.0 + neg)
+            params = KernelParams(s=math.exp(-t * z), t=t)
+            lam = a * t ** (2.0 / 3.0)
+            u = math.log(params.s) - params.t13 * lam
+            gap = abs(-_factor_logs(params, np.array([lam]))[0][0] - max(u, 0.0))
+            assert gap <= math.exp(-abs(u)) + 8.0 * eps * (1.0 + abs(u))
 
-    def test_psi_no_overflow(self):
-        assert math.isfinite(proxy_psi(-1e6, 30.0, 0.0))
-        assert proxy_psi(1e6, 30.0, 0.0) == 0.0
+    def test_softplus_no_overflow(self):
+        with np.errstate(over="raise"):
+            g, phi = _factor_logs(KernelParams(s=1.0, t=1.0), np.array([-3e7, 3e7]))
+        # u = 3e7: log(1 - phi) = -u and phi = 1; u = -3e7: both 0
+        np.testing.assert_array_equal(g, [-3e7, 0.0])
+        np.testing.assert_array_equal(phi, [1.0, 0.0])

@@ -13,7 +13,7 @@ from airylab.mc import estimate_from_log_samples, estimate_from_samples, spawn_r
 from airylab.rate import phi_minus
 from airylab.sao import (SaoConfig, ldp_estimate, optimal_drift_profile, riccati_count_sao,
                          sandwich_check, sao_spectrum, weighted_log_samples)
-from airylab.variational import DiscretizationParams
+from airylab.variational import DiscretizationParams, optimal_drift
 
 # bisection zeros of Ai (test_airy.first_zero_by_bisection locates the first
 # on ai_values; the rest frozen from the same sign-change bisection at 1e-12)
@@ -70,6 +70,58 @@ class TestSpectrum:
         cfg = SaoConfig(beta=2.0, domain_l=10.0, grid_n=1024, lambda_cap=3.0)
         with pytest.raises(ConfigurationError):
             sao_spectrum(cfg, NoisePath.zeros(512, cfg.h))
+
+
+def _hill_config(**kwargs) -> HillConfig:
+    return HillConfig(j=0, xi=1.0, **kwargs)
+
+
+def _sao_config(**kwargs) -> SaoConfig:
+    return SaoConfig(domain_l=12.0, **kwargs)
+
+
+class TestConfigChecks:
+    """HillConfig and SaoConfig share their grid checks, hill.check_grid."""
+
+    @pytest.mark.parametrize("make", [_hill_config, _sao_config])
+    @pytest.mark.parametrize("beta, grid_n, cap, error", [
+        (0.0, 64, 5.0, DomainError), (-1.0, 64, 5.0, DomainError),
+        (math.nan, 64, 5.0, DomainError),
+        (2.0, 15, 5.0, ConfigurationError), (2.0, 64, math.inf, ConfigurationError),
+        (2.0, 64, math.nan, ConfigurationError),
+    ])
+    def test_each_check_raises_its_error(self, make, beta, grid_n, cap, error):
+        with pytest.raises(error):
+            make(beta=beta, grid_n=grid_n, lambda_cap=cap)
+
+    def test_both_configs_give_one_beta_message(self):
+        messages = []
+        for make in (_hill_config, _sao_config):
+            with pytest.raises(DomainError) as exc:
+                make(beta=-1.0, grid_n=64, lambda_cap=5.0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_sao_length_is_checked_before_the_grid(self):
+        # -12 / 16 cells has a finite positive h^2, which the cell-width check passes
+        with pytest.raises(ConfigurationError, match="domain_l > 0"):
+            SaoConfig(beta=2.0, domain_l=-12.0, grid_n=16, lambda_cap=-1.0)
+
+
+class TestDriftProfile:
+    @pytest.mark.parametrize("z", [-0.25, -1.0, -3.7])
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 7.0])
+    def test_one_array_call_equals_the_per_level_loop(self, z, beta):
+        for t in (1.0, 4.0, 16.0, 1e3):
+            for a in (-0.3, 0.0, 0.25, 0.6):
+                params = DiscretizationParams.from_deviation(z, t, a)
+                spacing = params.level_spacing
+                expected = [optimal_drift(z, beta, j * spacing) for j in range(1, params.n + 1)]
+                assert np.array_equal(optimal_drift_profile(z, beta, params), expected)
+
+    def test_no_levels_give_an_empty_profile(self):
+        params = DiscretizationParams(t=4.0, a=0.0, n=0)
+        assert optimal_drift_profile(-1.0, 2.0, params).size == 0
 
 
 class TestRiccati:

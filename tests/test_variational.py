@@ -7,13 +7,13 @@ import pytest
 from airylab.errors import DomainError
 from airylab.mc import spawn_rng
 from airylab.rate import phi_minus, phi_minus_scaled
-from airylab.variational import (DiscretizationParams, DriftProblem, _objective_values,
-                                 optimal_drift, riemann_sum_value, variational_value)
+from airylab.variational import (DiscretizationParams, _objective_values, optimal_drift,
+                                 riemann_sum_value, variational_value)
 
 
-def cost(v: float, p: DriftProblem) -> float:
+def cost(v: float, z: float, beta: float, nu: float) -> float:
     """The module docstring's J(v) = v^2/2 + (2/3pi) ((-z - (2/sqrt(beta)) v - nu)_+)^{3/2}."""
-    x = -p.z - 2.0 / math.sqrt(p.beta) * v - p.nu
+    x = -z - 2.0 / math.sqrt(beta) * v - nu
     return 0.5 * v * v + 2.0 / (3.0 * math.pi) * max(x, 0.0) ** 1.5
 
 
@@ -45,8 +45,7 @@ class TestDriftObjective:
             z = float(rng.uniform(-5.0, -0.1))
             beta = float(rng.uniform(0.3, 5.0))
             nu = rng.uniform(0.0, -z, 4)
-            problems = [DriftProblem(z=z, beta=beta, nu=float(n)) for n in nu]
-            expected = [cost(optimal_drift(p), p) for p in problems]
+            expected = [cost(optimal_drift(z, beta, float(n)), z, beta, float(n)) for n in nu]
             # the two sides subtract in another order, so near nu = -z the
             # cancellation in (-z - nu) - (2/sqrt(beta)) v* costs a few digits
             np.testing.assert_allclose(_objective_values(nu, z, beta), expected,
@@ -55,14 +54,21 @@ class TestDriftObjective:
 
 class TestOptimalDrift:
     def test_zero_beyond_depth(self):
-        assert optimal_drift(DriftProblem(z=-1.0, beta=2.0, nu=1.0)) == 0.0
-        assert optimal_drift(DriftProblem(z=-1.0, beta=2.0, nu=3.7)) == 0.0
-        assert optimal_drift(DriftProblem(z=0.0, beta=1.0, nu=0.5)) == 0.0
+        assert optimal_drift(-1.0, 2.0, 1.0) == 0.0
+        assert optimal_drift(-1.0, 2.0, 3.7) == 0.0
+        assert optimal_drift(0.0, 1.0, 0.5) == 0.0
 
     def test_matches_golden_section(self):
-        p = DriftProblem(z=-1.0, beta=2.0, nu=0.0)
-        v_num = golden_section_min(lambda v: cost(v, p), 0.0, 10.0)
-        assert optimal_drift(p) == pytest.approx(v_num, abs=1e-8)
+        v_num = golden_section_min(lambda v: cost(v, -1.0, 2.0, 0.0), 0.0, 10.0)
+        assert optimal_drift(-1.0, 2.0, 0.0) == pytest.approx(v_num, abs=1e-8)
+
+    # TestParams checks beta = 1e-300 and 1e300, which leave the double range
+    @pytest.mark.parametrize("z, beta", [(-1.0, 0.0), (-1.0, -1.0), (0.5, 2.0), (1e-300, 2.0)])
+    def test_positive_z_or_beta_not_positive_is_a_domain_error(self, z, beta):
+        with pytest.raises(DomainError):
+            optimal_drift(z, beta, 0.0)
+        with pytest.raises(DomainError):
+            optimal_drift(z, beta, np.array([0.0, 0.5]))
 
     def test_stationarity_random_problems(self):
         rng = spawn_rng(3, "stationarity")
@@ -71,9 +77,8 @@ class TestOptimalDrift:
             z = float(rng.uniform(-5.0, -0.1))
             beta = float(rng.uniform(0.3, 5.0))
             nu = float(rng.uniform(0.0, -z * 0.95))
-            p = DriftProblem(z=z, beta=beta, nu=nu)
-            v = optimal_drift(p)
-            deriv = (cost(v + h, p) - cost(v - h, p)) / (2 * h)
+            v = optimal_drift(z, beta, nu)
+            deriv = (cost(v + h, z, beta, nu) - cost(v - h, z, beta, nu)) / (2 * h)
             assert abs(deriv) <= 1e-6
 
     def test_minimality_random_competitors(self):
@@ -82,10 +87,9 @@ class TestOptimalDrift:
             z = float(rng.uniform(-4.0, -0.2))
             beta = float(rng.uniform(0.4, 4.0))
             nu = float(rng.uniform(0.0, -z))
-            p = DriftProblem(z=z, beta=beta, nu=nu)
-            best = cost(optimal_drift(p), p)
+            best = cost(optimal_drift(z, beta, nu), z, beta, nu)
             vs = rng.uniform(-3.0, 8.0, 1000)
-            assert all(cost(float(v), p) >= best - 1e-12 for v in vs)
+            assert all(cost(float(v), z, beta, nu) >= best - 1e-12 for v in vs)
 
 
 class TestMasterIdentity:
@@ -154,7 +158,7 @@ class TestParams:
     def test_beta_outside_the_double_range_is_a_domain_error(self, beta):
         # beta^{3/2} underflows or (beta pi/2)^2 overflows in the drift formula
         params = DiscretizationParams(t=10.0, a=0.0, n=3)
-        for call in (lambda: optimal_drift(DriftProblem(z=-1.0, beta=beta, nu=0.0)),
+        for call in (lambda: optimal_drift(-1.0, beta, 0.0),
                      lambda: variational_value(-1.0, beta),
                      lambda: riemann_sum_value(-1.0, beta, params)):
             with pytest.raises(DomainError):
