@@ -64,17 +64,22 @@ class DiscretizationParams:
         return self.t ** (self.a - 2.0 / 3.0)
 
 
-def _depth_and_drift(z: float, beta: float, nu: float | np.ndarray):
-    """(c, v*) of the module docstring; nu may be a float or an array.
-
-    Raises DomainError for z > 0, for beta not > 0 and for a beta so small
-    or so large that the formula's factors (beta pi/2)^2 and
-    4/(pi^2 beta^{3/2}) leave the double range.
-    """
+def _check_drift_domain(z: float, beta: float) -> None:
+    """DomainError unless z <= 0 and beta > 0, the domain of the drift formula."""
     if z > 0.0:
         raise DomainError("the drift formula requires z <= 0")
     if not beta > 0.0:
         raise DomainError("the drift formula requires beta > 0")
+
+
+def _depth_and_drift(z: float, beta: float, nu: float | np.ndarray):
+    """(c, v*) of the module docstring; nu may be a float or an array.
+
+    Raises DomainError outside _check_drift_domain and for a beta so small
+    or so large that the formula's factors (beta pi/2)^2 and
+    4/(pi^2 beta^{3/2}) leave the double range.
+    """
+    _check_drift_domain(z, beta)
     try:
         k2 = (beta * math.pi / 2.0) ** 2
         scale = 4.0 / (math.pi ** 2 * beta ** 1.5)
@@ -106,10 +111,7 @@ def variational_value(z: float, beta: float) -> float:
     below _VALUE_TOL (scaled by the value).  The integrand is analytic on
     [0, -z], so the gate triggers at modest order.
     """
-    if z > 0.0:
-        raise DomainError("variational_value requires z <= 0")
-    if not beta > 0.0:
-        raise DomainError("variational_value requires beta > 0")
+    _check_drift_domain(z, beta)
     if z == 0.0:
         return 0.0
     upper = -z
@@ -134,10 +136,7 @@ def riemann_sum_value(z: float, beta: float, params: DiscretizationParams) -> fl
     More than _MAX_LEVELS = 10^6 levels (t^{2/3-a} above 10^6 at z = -1)
     is a DomainError, raised before the levels are built.
     """
-    if z > 0.0:
-        raise DomainError("riemann_sum_value requires z <= 0")
-    if not beta > 0.0:
-        raise DomainError("riemann_sum_value requires beta > 0")
+    _check_drift_domain(z, beta)
     if params.n > _MAX_LEVELS:
         raise DomainError(f"the Riemann sum at t = {params.t} needs more than "
                           f"{_MAX_LEVELS} levels")

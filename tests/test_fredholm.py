@@ -542,7 +542,7 @@ class TestFactorLogs:
         assert phi[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_softplus_negative_part_bound(self):
-        # |log(1 + e^u) - u_+| <= e^{-|u|}, at u = -t(z+a) as criterion 9 draws it
+        # |log(1 + e^u) - u_+| <= e^{-|u|}, at u as _factor_logs forms it
         rng = spawn_rng(65, "psi")
         eps = np.finfo(float).eps
         for _ in range(1000):
@@ -553,7 +553,7 @@ class TestFactorLogs:
             lam = a * t ** (2.0 / 3.0)
             u = math.log(params.s) - params.t13 * lam
             gap = abs(-_factor_logs(params, np.array([lam]))[0][0] - max(u, 0.0))
-            assert gap <= math.exp(-abs(u)) + 8.0 * eps * (1.0 + abs(u))
+            assert gap <= math.exp(-abs(u)) + 8.0 * eps * (1.0 + max(u, 0.0))
 
     def test_softplus_no_overflow(self):
         with np.errstate(over="raise"):
